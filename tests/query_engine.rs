@@ -229,3 +229,137 @@ fn uniform_weighted_query_agrees_with_unweighted_ranking() {
     assert_eq!(weighted.seeds, plain.seeds);
     assert!((weighted.covered - plain.covered).abs() < 1e-6);
 }
+
+/// FNV-1a over the bytes of everything an answer carries.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn seeds(&mut self, seeds: &[u32]) {
+        self.u64(seeds.len() as u64);
+        for &s in seeds {
+            self.bytes(&s.to_le_bytes());
+        }
+    }
+
+    fn answer(&mut self, a: &stop_and_stare::SeedAnswer) {
+        self.seeds(&a.seeds);
+        self.u64(a.covered.to_bits());
+        self.u64(a.influence_estimate.to_bits());
+        self.u64(a.marginal_gains.len() as u64);
+        for g in &a.marginal_gains {
+            self.u64(g.to_bits());
+        }
+        self.u64(u64::from(a.range.start));
+        self.u64(u64::from(a.range.end));
+    }
+}
+
+/// The answer grid: top-k over full, half, offset and empty ranges;
+/// forced (with a duplicate) and excluded seeds; cached-topic and
+/// one-off weighted queries with non-dyadic weights; budgeted queries at
+/// uniform costs (`B = k`) and at per-node costs.
+fn answer_grid(len: u32, n: u32) -> Vec<SeedQuery> {
+    use stop_and_stare::NodeCosts;
+    let ranges = [0..len, 0..len / 2, len / 4..3 * len / 4, len / 3..len / 3];
+    let weights: std::sync::Arc<[f64]> =
+        (0..n).map(|v| if v % 4 == 0 { 0.3 + f64::from(v % 10) * 0.1 } else { 0.0 }).collect();
+    let one_off: std::sync::Arc<[f64]> = (0..n).map(|v| 0.1 + f64::from(v % 7) * 0.3).collect();
+    let costs = NodeCosts::per_node((0..n).map(|v| 0.5 + f64::from(v % 5) * 0.3).collect());
+    let mut grid = Vec::new();
+    for k in [1usize, 10, 50] {
+        for r in &ranges {
+            grid.push(SeedQuery::top_k(k).over_range(r.clone()));
+            grid.push(
+                SeedQuery::top_k(k)
+                    .over_range(r.clone())
+                    .with_root_weights(weights.clone())
+                    .with_topic(7),
+            );
+            grid.push(SeedQuery::budgeted(k as f64).over_range(r.clone()));
+        }
+    }
+    grid.extend([
+        SeedQuery::top_k(10),
+        SeedQuery::top_k(10).with_forced(vec![3, 3, 17]),
+        SeedQuery::top_k(10)
+            .over_range(0..len / 2)
+            .with_forced(vec![42])
+            .with_excluded(vec![0, 1, 2]),
+        SeedQuery::top_k(50).with_excluded(vec![5, 8, 13, 21]),
+        SeedQuery::top_k(10)
+            .with_root_weights(weights.clone())
+            .with_topic(7)
+            .with_forced(vec![4, 4]),
+        SeedQuery::top_k(10)
+            .with_root_weights(weights.clone())
+            .with_topic(7)
+            .with_excluded(vec![8]),
+        SeedQuery::top_k(10).with_root_weights(one_off.clone()),
+        SeedQuery::top_k(50).over_range(len / 4..3 * len / 4).with_root_weights(one_off),
+        SeedQuery::budgeted(10.0).with_forced(vec![3, 3]).with_excluded(vec![0]),
+        SeedQuery::budgeted(4.0).with_costs(costs.clone()),
+        SeedQuery::budgeted(12.7).with_costs(costs.clone()).over_range(0..len / 2),
+        SeedQuery::budgeted(12.7).with_costs(costs.clone()).over_range(len / 3..len / 3),
+        SeedQuery::budgeted(7.3).with_costs(costs).with_forced(vec![3]).with_excluded(vec![0]),
+    ]);
+    grid
+}
+
+/// Byte-level reference for the answering path: every answer of the
+/// grid, through `answer`, `answer_batch` at 1 and 4 threads and
+/// `answer_planned` over a 3-epoch pool, plus `max_coverage_with` on
+/// three ranges, folded into one FNV-1a digest. A change to selection,
+/// snapshots, merging or answer assembly that moves any bit of any
+/// answer moves the digest.
+#[test]
+fn answer_grid_digest_is_pinned() {
+    use stop_and_stare::rrset::max_coverage_with;
+    let g = gen::erdos_renyi(2000, 12_000, 5).build(WeightModel::WeightedCascade).unwrap();
+    let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(17);
+    let grown = |threads: usize| {
+        let engine = SeedQueryEngine::sample(&ctx, 1500).with_threads(threads);
+        for _ in 0..2 {
+            engine.grower().extend(&ctx, 1500);
+        }
+        assert_eq!(engine.pool().epoch_boundaries(), &[1500, 3000, 4500]);
+        engine
+    };
+    let (one, four) = (grown(1), grown(4));
+    let pool = one.pool();
+    let grid = answer_grid(pool.len() as u32, pool.num_nodes());
+
+    let single: Vec<_> = grid.iter().map(|q| one.answer(q).unwrap()).collect();
+    let paths = [
+        one.answer_batch(&grid).unwrap(),
+        four.answer_batch(&grid).unwrap(),
+        one.answer_planned(&grid).unwrap(),
+    ];
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    for answers in std::iter::once(&single).chain(&paths) {
+        assert_eq!(answers, &single);
+        for a in answers {
+            fnv.answer(a);
+        }
+    }
+    let mut scratch = GreedyScratch::new();
+    for range in [0..4500, 0..2250, 1125..3375] {
+        let r = max_coverage_with(&pool, 50, range, &mut scratch);
+        fnv.seeds(&r.seeds);
+        fnv.u64(r.covered);
+        for &g in &r.marginal_gains {
+            fnv.u64(g);
+        }
+    }
+    assert_eq!(fnv.0, 0x0182_7f27_b4ce_0056, "answer grid digest moved: {:#018x}", fnv.0);
+}
