@@ -20,9 +20,8 @@ use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
 
-use sns_rrset::{
-    max_coverage_pre_refactor, max_coverage_with, CoverageView, GreedyScratch, RrCollection,
-};
+use sns_bench::oracle::max_coverage_pre_refactor;
+use sns_rrset::{max_coverage_with, CoverageView, GreedyScratch, RrCollection};
 
 #[path = "support/mod.rs"]
 mod support;

@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use sns_bench::oracle::{max_coverage_bucket, max_coverage_naive};
 use sns_diffusion::{Model, RrSampler};
 use sns_graph::{gen, WeightModel};
-use sns_rrset::{max_coverage, max_coverage_bucket, max_coverage_naive, RrCollection};
+use sns_rrset::{max_coverage, RrCollection};
 
 fn build_pool(sets: u64) -> RrCollection {
     let g = gen::rmat(20_000, 120_000, gen::RmatParams::GRAPH500, 3)

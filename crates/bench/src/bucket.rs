@@ -1,6 +1,7 @@
-//! Bucket-queue greedy Max-Coverage.
+//! Bucket-queue greedy Max-Coverage — a reference implementation of
+//! Algorithm 2, exported through [`crate::oracle`].
 //!
-//! A third implementation of Algorithm 2 with `O(1)` decrease-key:
+//! An alternative to the library's lazy heap with `O(1)` decrease-key:
 //! nodes live in an array of buckets indexed by their exact current
 //! marginal gain, and the selection cursor only ever moves downward
 //! (gains are monotone under submodularity). Asymptotically
@@ -9,14 +10,14 @@
 //! touches less memory.
 
 use sns_graph::NodeId;
-
-use crate::{CoverageResult, RrCollection};
+use sns_rrset::narrow::node_count;
+use sns_rrset::{CoverageResult, RrCollection};
 
 /// Runs greedy max-coverage with a bucket priority queue.
 ///
 /// Tie-breaking within a gain bucket is by insertion history rather than
 /// node id, so on inputs with ties the seed *identity* may differ from
-/// [`crate::max_coverage`]; the greedy guarantee and the exactness of
+/// [`sns_rrset::max_coverage`]; the greedy guarantee and the exactness of
 /// every selected gain are identical.
 pub fn max_coverage_bucket(rc: &RrCollection, k: usize) -> CoverageResult {
     let n = rc.num_nodes();
@@ -31,7 +32,7 @@ pub fn max_coverage_bucket(rc: &RrCollection, k: usize) -> CoverageResult {
     let mut pos: Vec<u32> = vec![0; n as usize];
     for v in 0..n {
         let g = gain[v as usize] as usize;
-        pos[v as usize] = crate::narrow::node_count(buckets[g].len());
+        pos[v as usize] = node_count(buckets[g].len());
         buckets[g].push(v);
     }
 
@@ -44,7 +45,7 @@ pub fn max_coverage_bucket(rc: &RrCollection, k: usize) -> CoverageResult {
                 let moved = buckets[from][idx];
                 pos[moved as usize] = idx as u32;
             }
-            pos[v as usize] = crate::narrow::node_count(buckets[to].len());
+            pos[v as usize] = node_count(buckets[to].len());
             buckets[to].push(v);
         };
 
@@ -106,8 +107,8 @@ pub fn max_coverage_bucket(rc: &RrCollection, k: usize) -> CoverageResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max_coverage;
     use sns_diffusion::RrMeta;
+    use sns_rrset::max_coverage;
 
     fn m() -> RrMeta {
         RrMeta { root: 0, edges_examined: 0 }

@@ -30,9 +30,11 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
+mod bucket;
 pub mod config;
 pub mod datasets;
 pub mod experiments;
+mod greedy;
 pub mod oracle;
 pub mod report;
 pub mod sample_counts;

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use sns_rrset::{DirectoryWriter, EpochDirectory, GainSnapshot, WeightedGainSnapshot};
+use sns_rrset::{DirectoryWriter, EpochDirectory, GainSnapshot};
 
 use crate::engine::QueryStats;
 
@@ -72,7 +72,7 @@ pub(crate) enum CachedSnapshot {
     /// identity verifies the caller's same-topic-same-weights contract,
     /// and keeping the allocation alive ensures the address cannot be
     /// recycled into a false match.
-    Weighted(Arc<WeightedGainSnapshot>, Arc<[f64]>),
+    Weighted(Arc<GainSnapshot<f64>>, Arc<[f64]>),
 }
 
 impl CachedSnapshot {

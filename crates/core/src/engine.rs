@@ -31,7 +31,7 @@
 //!
 //! The cache is LRU with a byte budget
 //! ([`SeedQueryEngine::with_cache_budget`]): every entry — per-epoch,
-//! merged, or weighted-by-topic ([`sns_rrset::WeightedGainSnapshot`],
+//! merged, or weighted-by-topic (a `GainSnapshot<f64>`,
 //! keyed by the [`SeedQuery::topic`] id so repeated TVM queries skip the
 //! per-query weighted histogram pass) — is accounted, least-recently-used
 //! entries are evicted when the budget overflows, and hit/miss/evict
@@ -66,8 +66,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use sns_diffusion::RootDist;
 use sns_graph::NodeId;
 use sns_rrset::{
-    CoverageView, EpochDirectory, GainSnapshot, GreedyScratch, NodeCosts, PoolStore, Recovery,
-    RrCollection, SaveStats, SeedConstraints, StoreFingerprint, WeightedGainSnapshot,
+    CoverageView, EpochDirectory, GainSnapshot, GreedyScratch, Limit, NodeCosts, Objective,
+    PoolStore, Recovery, RrCollection, SaveStats, Selection, Start, StoreFingerprint,
 };
 
 use crate::cache::{CacheKey, CachedSnapshot, SnapshotCache};
@@ -100,7 +100,7 @@ pub struct SeedQuery {
     /// Stable identity of the weight vector, for snapshot reuse: queries
     /// carrying the same topic id (and therefore the same weights — the
     /// caller's contract, verified by `Arc` identity) share one cached
-    /// [`sns_rrset::WeightedGainSnapshot`] per range instead of
+    /// weighted [`sns_rrset::GainSnapshot`] per range instead of
     /// re-running the weighted gain pass. `sns_tvm::TargetWeights` sets
     /// this automatically; leave `None` for one-off weight vectors.
     pub topic: Option<u64>,
@@ -169,7 +169,7 @@ impl SeedQuery {
 
     /// Replaces the cardinality constraint with a cost budget `B`: the
     /// answer picks seeds by cost-effectiveness until the budget is
-    /// exhausted ([`sns_rrset::BudgetedCoverageResult`] semantics, with
+    /// exhausted ([`sns_rrset::Limit::Budget`] semantics, with
     /// the `max(greedy, best single)` guarantee). `k` is ignored while a
     /// budget is set; with [`NodeCosts::Uniform`] and `budget = k` the
     /// answer is bit-identical to the plain top-`k` path. Incompatible
@@ -221,7 +221,7 @@ pub struct QueryStats {
     /// Unweighted queries that had to build or merge a snapshot.
     pub snapshot_misses: u64,
     /// Topic-keyed weighted queries answered from a cached
-    /// [`WeightedGainSnapshot`].
+    /// weighted [`GainSnapshot`].
     pub weighted_hits: u64,
     /// Topic-keyed weighted queries that had to build one. (Weighted
     /// queries without a topic id are always uncached and count nowhere.)
@@ -855,19 +855,21 @@ impl SeedQueryEngine {
             }
             (Some(weights), None) => {
                 let len = (range.end - range.start) as u64;
-                let constraints =
-                    SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-                let r = CoverageView::build(pool, range.clone()).select_weighted(
-                    query.k,
-                    weights,
-                    &constraints,
+                let selection = Selection {
+                    objective: Objective::Weighted(weights),
+                    limit: Limit::TopK(query.k),
+                    forced: &query.forced,
+                    excluded: &query.excluded,
+                };
+                let r = CoverageView::build(pool, range.clone()).select_with(
+                    &selection,
+                    Start::Fresh,
                     scratch,
                 );
-                let influence =
-                    if len == 0 { 0.0 } else { self.gamma * r.covered_weight / len as f64 };
+                let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
                 SeedAnswer {
                     seeds: r.seeds,
-                    covered: r.covered_weight,
+                    covered: r.covered,
                     influence_estimate: influence,
                     marginal_gains: r.marginal_gains,
                     range,
@@ -894,19 +896,18 @@ impl SeedQueryEngine {
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
         let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_from_snapshot_constrained(
-            snapshot,
-            query.k,
-            &constraints,
-            scratch,
-        );
-        let influence = r.influence_estimate(self.gamma, len);
+        let selection = Selection {
+            forced: &query.forced,
+            excluded: &query.excluded,
+            ..Selection::top_k(query.k)
+        };
+        let r = snapshot.view(pool).select_with(&selection, Start::Frozen(snapshot), scratch);
+        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
         SeedAnswer {
             seeds: r.seeds,
-            covered: r.covered as f64,
+            covered: r.covered,
             influence_estimate: influence,
-            marginal_gains: r.marginal_gains.iter().map(|&g| g as f64).collect(),
+            marginal_gains: r.marginal_gains,
             range: range.clone(),
         }
     }
@@ -927,20 +928,19 @@ impl SeedQueryEngine {
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
         let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_budgeted_from_snapshot(
-            snapshot,
-            budget,
-            &query.costs,
-            &constraints,
-            scratch,
-        );
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered as f64 / len as f64 };
+        let selection = Selection {
+            objective: Objective::Count,
+            limit: Limit::Budget(budget, &query.costs),
+            forced: &query.forced,
+            excluded: &query.excluded,
+        };
+        let r = snapshot.view(pool).select_with(&selection, Start::Frozen(snapshot), scratch);
+        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
         SeedAnswer {
             seeds: r.seeds,
-            covered: r.covered as f64,
+            covered: r.covered,
             influence_estimate: influence,
-            marginal_gains: r.marginal_gains.iter().map(|&g| g as f64).collect(),
+            marginal_gains: r.marginal_gains,
             range: range.clone(),
         }
     }
@@ -954,23 +954,23 @@ impl SeedQueryEngine {
         query: &SeedQuery,
         pool: &RrCollection,
         range: &Range<u32>,
-        snapshot: &WeightedGainSnapshot,
+        snapshot: &GainSnapshot<f64>,
         weights: &Arc<[f64]>,
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
         let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_weighted_from_snapshot(
-            snapshot,
-            query.k,
-            weights,
-            &constraints,
-            scratch,
-        );
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered_weight / len as f64 };
+        let selection = Selection {
+            objective: Objective::Weighted(weights),
+            limit: Limit::TopK(query.k),
+            forced: &query.forced,
+            excluded: &query.excluded,
+        };
+        let r =
+            snapshot.view(pool).select_with(&selection, Start::FrozenWeighted(snapshot), scratch);
+        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
         SeedAnswer {
             seeds: r.seeds,
-            covered: r.covered_weight,
+            covered: r.covered,
             influence_estimate: influence,
             marginal_gains: r.marginal_gains,
             range: range.clone(),
@@ -1104,7 +1104,7 @@ impl SeedQueryEngine {
         range: &Range<u32>,
         topic: u64,
         weights: &Arc<[f64]>,
-    ) -> Arc<WeightedGainSnapshot> {
+    ) -> Arc<GainSnapshot<f64>> {
         let key = CacheKey::Weighted { start: range.start, end: range.end, topic };
         if let Some(CachedSnapshot::Weighted(snap, cached_weights)) = self.cache.get(&key) {
             if Arc::ptr_eq(&cached_weights, weights) {
@@ -1113,10 +1113,8 @@ impl SeedQueryEngine {
             }
         }
         self.cache.note_weighted_miss();
-        let built = Arc::new(WeightedGainSnapshot::build(
-            &CoverageView::build(pool, range.clone()),
-            weights,
-        ));
+        let built =
+            Arc::new(GainSnapshot::weighted(&CoverageView::build(pool, range.clone()), weights));
         self.cache.insert(key, CachedSnapshot::Weighted(Arc::clone(&built), Arc::clone(weights)));
         built
     }
@@ -1129,6 +1127,10 @@ mod tests {
     use sns_diffusion::Model;
     use sns_graph::{gen, WeightModel};
     use sns_rrset::max_coverage_range;
+
+    fn budgeted(budget: f64, costs: &NodeCosts) -> Selection<'_> {
+        Selection { limit: Limit::Budget(budget, costs), ..Selection::top_k(0) }
+    }
 
     fn engine(sets: u64, seed: u64) -> SeedQueryEngine {
         let g = gen::erdos_renyi(300, 1800, seed).build(WeightModel::WeightedCascade).unwrap();
@@ -1381,16 +1383,12 @@ mod tests {
             let pool = e.pool();
             let view = CoverageView::build(&pool, 0..2000);
             let mut scratch = GreedyScratch::new();
-            let direct =
-                view.select_budgeted(budget, &q.costs, &SeedConstraints::none(), &mut scratch);
+            let direct = view.select_with(&budgeted(budget, &q.costs), Start::Fresh, &mut scratch);
             assert_eq!(ans.seeds, direct.seeds, "budget = {budget}");
-            assert_eq!(ans.covered, direct.covered as f64);
-            assert_eq!(
-                ans.marginal_gains,
-                direct.marginal_gains.iter().map(|&g| g as f64).collect::<Vec<_>>()
-            );
+            assert_eq!(ans.covered, direct.covered);
+            assert_eq!(ans.marginal_gains, direct.marginal_gains);
             // Î = Γ · Cov/|R| with Γ = n = 300 over 2000 sets
-            assert_eq!(ans.influence_estimate, 300.0 * direct.covered as f64 / 2000.0);
+            assert_eq!(ans.influence_estimate, 300.0 * direct.covered / 2000.0);
         }
         // ranged budgeted query against the matching direct call
         let q = SeedQuery::budgeted(6.0)
@@ -1399,12 +1397,8 @@ mod tests {
         let ans = e.answer(&q).unwrap();
         let pool = e.pool();
         let view = CoverageView::build(&pool, 500..1500);
-        let direct = view.select_budgeted(
-            6.0,
-            &q.costs,
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        let direct =
+            view.select_with(&budgeted(6.0, &q.costs), Start::Fresh, &mut GreedyScratch::new());
         assert_eq!(ans.seeds, direct.seeds);
         assert_eq!(ans.range, 500..1500);
     }

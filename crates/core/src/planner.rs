@@ -57,7 +57,7 @@ pub enum GroupKey {
         end: u32,
     },
     /// Topic-weighted queries over one range: they share the
-    /// [`WeightedGainSnapshot`](sns_rrset::WeightedGainSnapshot) keyed
+    /// weighted [`GainSnapshot`](sns_rrset::GainSnapshot) keyed
     /// by the topic id.
     Topic {
         /// Range start (pool set id).

@@ -5,16 +5,17 @@
 //! production-shaped variants (TipTop, arXiv:1701.08462; cost-aware
 //! viral marketing, arXiv:1910.04134) attach a cost `c(v) > 0` to every
 //! node and replace `|S| ≤ k` with a knapsack constraint
-//! `Σ_{v∈S} c(v) ≤ B`. This module adds that selection mode to
-//! [`CoverageView`] without touching the pool, snapshots, or the
-//! unweighted loop:
+//! `Σ_{v∈S} c(v) ≤ B`. That is [`Limit::Budget`](crate::Limit::Budget)
+//! of the one greedy kernel (`greedy.rs`), with the [`NodeCosts`] below:
 //!
 //! * **Ratio greedy.** Nodes are picked by cost-effectiveness — marginal
 //!   gain divided by cost — under the same lazy max-heap discipline as
-//!   the plain loop (gains only decrease and costs are fixed, so ratios
-//!   only decrease and stale heap entries stay safe). A node whose cost
+//!   top-k (gains only decrease and costs are fixed, so ratios only
+//!   decrease and stale heap entries stay safe). A node whose cost
 //!   exceeds the *remaining* budget is retired permanently: budgets only
-//!   shrink, so it can never become affordable again.
+//!   shrink, so it can never become affordable again. Forced seeds are
+//!   charged first, in order; leftover budget buys zero-gain padding
+//!   seeds in ascending id order.
 //! * **The `max(greedy, best single)` guarantee.** Ratio greedy alone
 //!   has an unbounded gap (a cheap low-gain node can lock out one huge
 //!   affordable node); returning the better of the greedy set and the
@@ -22,25 +23,19 @@
 //!   `1 − 1/√e ≈ 0.3935` factor for budgeted maximum coverage (see
 //!   `docs/DERIVATIONS.md` §6 and arXiv:1512.04180).
 //! * **Determinism.** Ties break on the larger node id exactly like the
-//!   unweighted heap, selection never consults wall clocks or hash
-//!   order, and with [`NodeCosts::Uniform`] and `B = k` the pop sequence
-//!   is order-isomorphic to the plain `(gain, id)` heap — seeds, covered
-//!   counts and marginal gains degenerate *bit-identically* to
-//!   [`CoverageView::select`] (a `u32` gain converts to `f64` exactly,
-//!   and division by 1 preserves the order and the padding walk).
+//!   top-k heap, and with [`NodeCosts::Uniform`] and `B = k` the pop
+//!   sequence is order-isomorphic to the plain `(gain, id)` heap — seeds,
+//!   covered counts and marginal gains degenerate *bit-identically* to
+//!   top-k (a `u32` gain converts to `f64` exactly, and division by 1
+//!   preserves the order and the padding walk).
 //!
-//! Costs are per-query data like the weighted path's node weights: a
-//! frozen [`GainSnapshot`] is cost-agnostic, so one snapshot serves
-//! every cost vector and budget — the budgeted fast path starts from the
-//! same memcpy as the plain one.
+//! Costs are per-query data like the weighted objective's node weights:
+//! a frozen [`crate::GainSnapshot`] is cost-agnostic, so one snapshot
+//! serves every cost vector and budget.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sns_graph::NodeId;
-
-use crate::snapshot::WeightOrd;
-use crate::{CoverageView, GainSnapshot, GreedyScratch, SeedConstraints};
 
 /// Per-node selection costs for a budgeted query.
 ///
@@ -91,7 +86,7 @@ impl NodeCosts {
     ///
     /// Panics if a per-node vector is not one finite, strictly positive
     /// cost per node.
-    fn validated_min(&self, n: u32) -> f64 {
+    pub(crate) fn validated_min(&self, n: u32) -> f64 {
         match self {
             NodeCosts::Uniform => 1.0,
             NodeCosts::PerNode(c) => {
@@ -107,247 +102,27 @@ impl NodeCosts {
     }
 }
 
-/// Result of a budgeted greedy selection
-/// ([`CoverageView::select_budgeted`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetedCoverageResult {
-    /// Selected seed nodes, in selection order.
-    pub seeds: Vec<NodeId>,
-    /// Number of distinct in-range sets the seeds cover.
-    pub covered: u64,
-    /// Marginal coverage of each seed at its selection time (`0` for
-    /// budget-filling padding seeds).
-    pub marginal_gains: Vec<u64>,
-    /// Total cost charged against the budget.
-    pub spent: f64,
-    /// Whether the best-single-affordable-node arm of the
-    /// `max(greedy, best single)` guarantee beat the ratio-greedy set
-    /// (in which case `seeds` holds exactly that one node).
-    pub single_fallback: bool,
-}
-
-impl CoverageView<'_> {
-    /// Budgeted greedy Max-Coverage: picks seeds by cost-effectiveness
-    /// (`gain / cost`) until no affordable node remains, then returns the
-    /// better of that set and the best single affordable node — the
-    /// standard `1 − 1/√e` approximation for coverage under a knapsack
-    /// constraint (see the module docs).
-    ///
-    /// Forced seeds are selected first in order, charging the budget;
-    /// excluded nodes are never selected. Leftover budget is spent on
-    /// zero-gain padding seeds (ascending ids), mirroring the
-    /// cardinality path's padding contract, so with
-    /// [`NodeCosts::Uniform`] and `budget = k` the result is
-    /// bit-identical to [`CoverageView::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is not finite and nonnegative, if `costs` is
-    /// malformed (see [`NodeCosts`]), or if the forced seeds alone
-    /// overrun the budget.
-    pub fn select_budgeted(
-        &self,
-        budget: f64,
-        costs: &NodeCosts,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> BudgetedCoverageResult {
-        self.select_budgeted_inner(budget, costs, constraints, scratch, None)
-    }
-
-    /// [`CoverageView::select_budgeted`] with the histogram pass replaced
-    /// by a memcpy of `snapshot`'s frozen gains — the frozen-pool fast
-    /// path. Snapshots are cost-agnostic, so one snapshot serves every
-    /// `(budget, costs)` pair. Bit-identical to
-    /// [`CoverageView::select_budgeted`].
-    ///
-    /// # Panics
-    ///
-    /// As [`CoverageView::select_budgeted`], plus if `snapshot` was built
-    /// for a different pool slice.
-    pub fn select_budgeted_from_snapshot(
-        &self,
-        snapshot: &GainSnapshot,
-        budget: f64,
-        costs: &NodeCosts,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> BudgetedCoverageResult {
-        self.select_budgeted_inner(budget, costs, constraints, scratch, Some(snapshot))
-    }
-
-    fn select_budgeted_inner(
-        &self,
-        budget: f64,
-        costs: &NodeCosts,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        frozen: Option<&GainSnapshot>,
-    ) -> BudgetedCoverageResult {
-        let n = self.num_nodes();
-        assert!(budget.is_finite() && budget >= 0.0, "budget must be finite and nonnegative");
-        let min_cost = costs.validated_min(n);
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.wheap_buf);
-        heap_buf.clear();
-        let gain = &mut scratch.gain;
-        gain.clear();
-        match frozen {
-            Some(snapshot) => {
-                assert_eq!(
-                    snapshot.range(),
-                    self.range(),
-                    "gain snapshot was built for a different pool slice"
-                );
-                gain.extend_from_slice(snapshot.gains());
-            }
-            None => {
-                gain.resize(n as usize, 0);
-                for &v in self.raw_members() {
-                    gain[v as usize] += 1;
-                }
-            }
-        }
-
-        // Excluded nodes are retired before anything reads the gain
-        // table, so neither the greedy loop, the padding, nor the
-        // single-node fallback can return them.
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-
-        // The other arm of the max(greedy, best single) guarantee: the
-        // highest-gain node affordable within the *full* budget, read off
-        // the initial gains before anything decrements them. Forced seeds
-        // change what the query means (the fallback would drop them), so
-        // the arm only applies to unconstrained-prefix queries.
-        let mut best_single: Option<(u32, NodeId)> = None;
-        if constraints.forced.is_empty() {
-            for v in 0..n {
-                let g = gain[v as usize];
-                if g == 0 || scratch.selected_stamp[v as usize] == generation {
-                    continue;
-                }
-                if costs.cost(v) <= budget && best_single.is_none_or(|b| (g, v) > b) {
-                    best_single = Some((g, v));
-                }
-            }
-        }
-
-        // Seed the cost-effectiveness heap. `u32 → f64` is exact and the
-        // tie-break is the node id, so with uniform costs this heap is
-        // order-isomorphic to the plain `(gain, id)` heap.
-        heap_buf.extend(
-            (0..n)
-                .filter(|&v| gain[v as usize] > 0)
-                .map(|v| (WeightOrd(f64::from(gain[v as usize]) / costs.cost(v)), v)),
-        );
-        let mut heap: BinaryHeap<(WeightOrd, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::new();
-        let mut marginal_gains = Vec::new();
-        let mut covered = 0u64;
-        let mut remaining = budget;
-        let mut spent = 0.0f64;
-
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue; // duplicate forced seed: selected (and charged) once
-            }
-            let c = costs.cost(v);
-            assert!(c <= remaining, "forced seeds overrun the budget {budget}");
-            scratch.selected_stamp[v as usize] = generation;
-            remaining -= c;
-            spent += c;
-            let g = gain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            if g > 0 {
-                self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            }
-        }
-
-        while remaining >= min_cost {
-            let Some((WeightOrd(r), v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let g = gain[v as usize];
-            let current = f64::from(g) / costs.cost(v);
-            if r > current {
-                // Stale entry: re-key with the exact ratio. Gains only
-                // decrease and costs are fixed, so ratios only decrease
-                // and the max-heap invariant stays sound.
-                if g > 0 {
-                    heap.push((WeightOrd(current), v));
-                }
-                continue;
-            }
-            if g == 0 {
-                break; // nothing left to cover
-            }
-            let c = costs.cost(v);
-            if c > remaining {
-                // Unaffordable now; the budget only shrinks, so retire
-                // the node for the rest of the run (padding included).
-                scratch.selected_stamp[v as usize] = generation;
-                continue;
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            remaining -= c;
-            spent += c;
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            debug_assert_eq!(gain[v as usize], 0);
-        }
-
-        // Spend leftover budget on zero-gain padding, ascending ids —
-        // the budgeted mirror of the cardinality path's padding. Every
-        // node with residual gain was either selected or retired as
-        // unaffordable above, so padding seeds genuinely add nothing.
-        let mut next = 0u32;
-        while next < n && remaining >= min_cost {
-            if scratch.selected_stamp[next as usize] != generation {
-                let c = costs.cost(next);
-                if c <= remaining {
-                    scratch.selected_stamp[next as usize] = generation;
-                    remaining -= c;
-                    spent += c;
-                    seeds.push(next);
-                    marginal_gains.push(0);
-                }
-            }
-            next += 1;
-        }
-
-        scratch.wheap_buf = heap.into_vec();
-
-        if let Some((bg, bv)) = best_single {
-            if u64::from(bg) > covered {
-                // The single affordable node beats the whole ratio-greedy
-                // set — the classical bad case for plain ratio greedy.
-                return BudgetedCoverageResult {
-                    seeds: vec![bv],
-                    covered: u64::from(bg),
-                    marginal_gains: vec![u64::from(bg)],
-                    spent: costs.cost(bv),
-                    single_fallback: true,
-                };
-            }
-        }
-        BudgetedCoverageResult { seeds, covered, marginal_gains, spent, single_fallback: false }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RrCollection;
+    use crate::{
+        CoverageView, GainSnapshot, GreedyScratch, Limit, RrCollection, Selection, SelectionResult,
+        Start,
+    };
     use sns_diffusion::RrMeta;
+
+    fn spec<'a>(budget: f64, costs: &'a NodeCosts) -> Selection<'a> {
+        Selection { limit: Limit::Budget(budget, costs), ..Selection::top_k(0) }
+    }
+
+    fn select(
+        view: &CoverageView<'_>,
+        budget: f64,
+        costs: &NodeCosts,
+        scratch: &mut GreedyScratch,
+    ) -> SelectionResult {
+        view.select_with(&spec(budget, costs), Start::Fresh, scratch)
+    }
 
     fn m(root: NodeId) -> RrMeta {
         RrMeta { root, edges_examined: 0 }
@@ -399,21 +174,15 @@ mod tests {
                 let snap = GainSnapshot::build(&view);
                 for k in [1usize, 3, 7, 40] {
                     let plain = view.select(k, &mut scratch);
-                    let budgeted = view.select_budgeted(
-                        k as f64,
-                        &NodeCosts::Uniform,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
+                    let budgeted = select(&view, k as f64, &NodeCosts::Uniform, &mut scratch);
                     assert_eq!(budgeted.seeds, plain.seeds, "seed {seed} range {range:?} k {k}");
-                    assert_eq!(budgeted.covered, plain.covered);
-                    assert_eq!(budgeted.marginal_gains, plain.marginal_gains);
+                    assert_eq!(budgeted.covered, plain.covered as f64);
+                    let gains: Vec<f64> = plain.marginal_gains.iter().map(|&g| g as f64).collect();
+                    assert_eq!(budgeted.marginal_gains, gains);
                     assert!(!budgeted.single_fallback);
-                    let frozen = view.select_budgeted_from_snapshot(
-                        &snap,
-                        k as f64,
-                        &NodeCosts::Uniform,
-                        &SeedConstraints::none(),
+                    let frozen = view.select_with(
+                        &spec(k as f64, &NodeCosts::Uniform),
+                        Start::Frozen(&snap),
                         &mut scratch,
                     );
                     assert_eq!(frozen, budgeted, "frozen path diverged");
@@ -432,28 +201,13 @@ mod tests {
                 let view = CoverageView::build(&rc, range.clone());
                 let snap = GainSnapshot::build(&view);
                 for budget in [1.5f64, 4.0, 9.5] {
-                    let fresh = view.select_budgeted(
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    let frozen = view.select_budgeted_from_snapshot(
-                        &snap,
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
+                    let fresh = select(&view, budget, &costs, &mut scratch);
+                    let frozen =
+                        view.select_with(&spec(budget, &costs), Start::Frozen(&snap), &mut scratch);
                     assert_eq!(frozen, fresh, "seed {seed} range {range:?} budget {budget}");
                     // repeated queries against one snapshot stay stable
-                    let again = view.select_budgeted_from_snapshot(
-                        &snap,
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
+                    let again =
+                        view.select_with(&spec(budget, &costs), Start::Frozen(&snap), &mut scratch);
                     assert_eq!(again, fresh);
                 }
             }
@@ -469,16 +223,11 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[0, 4], &[5]], 6);
         let costs: Vec<f64> = vec![4.0, 5.0, 5.0, 5.0, 5.0, 0.5];
         let view = CoverageView::build(&rc, 0..5);
-        let r = view.select_budgeted(
-            4.0,
-            &NodeCosts::per_node(costs.into()),
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        let r = select(&view, 4.0, &NodeCosts::per_node(costs.into()), &mut GreedyScratch::new());
         assert!(r.single_fallback);
         assert_eq!(r.seeds, vec![0]);
-        assert_eq!(r.covered, 4);
-        assert_eq!(r.marginal_gains, vec![4]);
+        assert_eq!(r.covered, 4.0);
+        assert_eq!(r.marginal_gains, vec![4.0]);
         assert!((r.spent - 4.0).abs() < 1e-12);
     }
 
@@ -489,14 +238,9 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[1, 4], &[2]], 5);
         let costs: Vec<f64> = vec![10.0, 1.0, 1.0, 1.0, 1.0];
         let view = CoverageView::build(&rc, 0..5);
-        let r = view.select_budgeted(
-            2.0,
-            &NodeCosts::per_node(costs.into()),
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        let r = select(&view, 2.0, &NodeCosts::per_node(costs.into()), &mut GreedyScratch::new());
         assert!(!r.seeds.contains(&0), "unaffordable node selected: {:?}", r.seeds);
-        assert!(r.covered >= 3, "affordable pair should cover ≥ 3 sets: {r:?}");
+        assert!(r.covered >= 3.0, "affordable pair should cover ≥ 3 sets: {r:?}");
         assert!(r.spent <= 2.0 + 1e-12);
     }
 
@@ -505,15 +249,15 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[3], &[3, 1]], 4);
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
-        let cons = SeedConstraints { forced: &[1], excluded: &[] };
-        let r = view.select_budgeted(2.0, &NodeCosts::Uniform, &cons, &mut scratch);
+        let cons = Selection { forced: &[1], ..spec(2.0, &NodeCosts::Uniform) };
+        let r = view.select_with(&cons, Start::Fresh, &mut scratch);
         assert_eq!(r.seeds[0], 1);
-        assert_eq!(r.marginal_gains[0], 2);
-        assert_eq!(r.covered, 3);
+        assert_eq!(r.marginal_gains[0], 2.0);
+        assert_eq!(r.covered, 3.0);
         assert!((r.spent - 2.0).abs() < 1e-12);
         // duplicates are selected and charged once
-        let dup = SeedConstraints { forced: &[1, 1], excluded: &[] };
-        let r2 = view.select_budgeted(2.0, &NodeCosts::Uniform, &dup, &mut scratch);
+        let dup = Selection { forced: &[1, 1], ..spec(2.0, &NodeCosts::Uniform) };
+        let r2 = view.select_with(&dup, Start::Fresh, &mut scratch);
         assert_eq!(r2.seeds, r.seeds);
     }
 
@@ -522,8 +266,8 @@ mod tests {
     fn forced_seeds_beyond_the_budget_panic() {
         let rc = pool(&[&[0], &[1]], 2);
         let view = CoverageView::build(&rc, 0..2);
-        let cons = SeedConstraints { forced: &[0, 1], excluded: &[] };
-        view.select_budgeted(1.0, &NodeCosts::Uniform, &cons, &mut GreedyScratch::new());
+        let cons = Selection { forced: &[0, 1], ..spec(1.0, &NodeCosts::Uniform) };
+        view.select_with(&cons, Start::Fresh, &mut GreedyScratch::new());
     }
 
     #[test]
@@ -532,14 +276,9 @@ mod tests {
         // excluded the answer must come from the rest.
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4, 1]], 5);
         let view = CoverageView::build(&rc, 0..4);
-        let cons = SeedConstraints { forced: &[], excluded: &[0] };
-        let costs: Vec<f64> = vec![1.0, 0.1, 1.0, 1.0, 1.0];
-        let r = view.select_budgeted(
-            1.0,
-            &NodeCosts::per_node(costs.into()),
-            &cons,
-            &mut GreedyScratch::new(),
-        );
+        let costs = NodeCosts::per_node(vec![1.0, 0.1, 1.0, 1.0, 1.0].into());
+        let cons = Selection { excluded: &[0], ..spec(1.0, &costs) };
+        let r = view.select_with(&cons, Start::Fresh, &mut GreedyScratch::new());
         assert!(!r.seeds.contains(&0), "excluded node selected: {:?}", r.seeds);
     }
 
@@ -549,19 +288,13 @@ mod tests {
         let view = CoverageView::build(&rc, 0..2);
         let mut scratch = GreedyScratch::new();
         // Uniform, budget 4: node 0 covers everything, then 3 pads.
-        let r =
-            view.select_budgeted(4.0, &NodeCosts::Uniform, &SeedConstraints::none(), &mut scratch);
+        let r = select(&view, 4.0, &NodeCosts::Uniform, &mut scratch);
         assert_eq!(r.seeds, vec![0, 1, 2, 3]);
-        assert_eq!(r.marginal_gains, vec![2, 0, 0, 0]);
-        assert_eq!(r.covered, 2);
+        assert_eq!(r.marginal_gains, vec![2.0, 0.0, 0.0, 0.0]);
+        assert_eq!(r.covered, 2.0);
         // Costly padding candidates are skipped when unaffordable.
         let costs: Vec<f64> = vec![1.0, 9.0, 1.0, 9.0, 1.0, 1.0];
-        let r2 = view.select_budgeted(
-            3.0,
-            &NodeCosts::per_node(costs.into()),
-            &SeedConstraints::none(),
-            &mut scratch,
-        );
+        let r2 = select(&view, 3.0, &NodeCosts::per_node(costs.into()), &mut scratch);
         assert_eq!(r2.seeds, vec![0, 2, 4], "padding must skip nodes it cannot afford");
     }
 
@@ -569,14 +302,9 @@ mod tests {
     fn zero_budget_returns_nothing() {
         let rc = pool(&[&[0, 1]], 2);
         let view = CoverageView::build(&rc, 0..1);
-        let r = view.select_budgeted(
-            0.0,
-            &NodeCosts::Uniform,
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        let r = select(&view, 0.0, &NodeCosts::Uniform, &mut GreedyScratch::new());
         assert!(r.seeds.is_empty());
-        assert_eq!(r.covered, 0);
+        assert_eq!(r.covered, 0.0);
         assert_eq!(r.spent, 0.0);
     }
 
@@ -595,12 +323,7 @@ mod tests {
     fn nonpositive_costs_are_rejected() {
         let rc = pool(&[&[0]], 2);
         let view = CoverageView::build(&rc, 0..1);
-        view.select_budgeted(
-            1.0,
-            &NodeCosts::per_node(vec![1.0, 0.0].into()),
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        select(&view, 1.0, &NodeCosts::per_node(vec![1.0, 0.0].into()), &mut GreedyScratch::new());
     }
 
     #[test]
@@ -608,11 +331,6 @@ mod tests {
     fn wrong_length_costs_are_rejected() {
         let rc = pool(&[&[0]], 3);
         let view = CoverageView::build(&rc, 0..1);
-        view.select_budgeted(
-            1.0,
-            &NodeCosts::per_node(vec![1.0].into()),
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        select(&view, 1.0, &NodeCosts::per_node(vec![1.0].into()), &mut GreedyScratch::new());
     }
 }

@@ -45,55 +45,24 @@
 //!
 //! # Determinism
 //!
-//! [`CoverageView::select`] runs exactly the lazy-heap greedy of the
-//! pre-view implementation — same `(gain, id)` max-heap tie-break, same
-//! zero-gain padding — so seeds are bit-identical to it and to
-//! [`crate::max_coverage_naive`]. The covered bitset is
-//! *generation-stamped* ([`GreedyScratch`]): marking a slot covered
-//! writes the run's generation number, so reusing a scratch across
-//! rounds costs zero clearing work.
+//! Selection on a view is the crate's one lazy-heap kernel
+//! ([`CoverageView::select_with`], see `greedy.rs`): `(gain, id)`
+//! max-heap tie-break, zero-gain padding, bit-identical to the pre-view
+//! implementation it replaced (`sns_bench::oracle` keeps that one as a
+//! reference). The covered bitset is *generation-stamped*
+//! ([`GreedyScratch`]): marking a slot covered writes the run's
+//! generation number, so reusing a scratch across rounds costs zero
+//! clearing work.
 
 use std::borrow::Cow;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
+use crate::greedy::CountGains;
 use crate::index::CsrOffsets;
-use crate::snapshot::GainSnapshot;
-use crate::{CoverageResult, RrCollection};
-
-/// Side conditions a seed-query places on greedy selection: `forced`
-/// seeds are selected first (in the given order, consuming budget and
-/// coverage), `excluded` nodes are never selected — not even as zero-gain
-/// padding. Empty constraints reproduce plain greedy exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeedConstraints<'a> {
-    /// Seeds selected unconditionally before the greedy loop, in order.
-    /// Must number at most `k`; duplicates are selected once.
-    pub forced: &'a [NodeId],
-    /// Nodes the selection must never return.
-    pub excluded: &'a [NodeId],
-}
-
-impl SeedConstraints<'_> {
-    /// No constraints — plain greedy.
-    pub fn none() -> Self {
-        SeedConstraints::default()
-    }
-}
-
-/// How [`CoverageView::select_inner`] obtains the initial per-node
-/// gains: a fresh streaming histogram, one frozen snapshot (memcpy), or
-/// a list of per-epoch snapshots summed at query time.
-enum GainInit<'a> {
-    /// One streaming pass over the slice's members, `O(entries)`.
-    Histogram,
-    /// Memcpy of a single frozen snapshot covering the whole range.
-    Frozen(&'a GainSnapshot),
-    /// Sum of per-epoch snapshots tiling the range, `O(n·parts)`.
-    Merged(&'a [&'a GainSnapshot]),
-}
+use crate::{CoverageResult, RrCollection, Selection};
 
 /// Range-rebased forward (`set → members`) CSR snapshot of a pool slice
 /// (see the module docs). Borrows the pool: the member data is the
@@ -138,7 +107,7 @@ impl<'a> CoverageView<'a> {
     /// [`CoverageView::build`] with the rebased offsets supplied by a
     /// frozen snapshot instead of recomputed — `O(1)`, the steady-state
     /// fast path of `sns-core`'s query engine. Only reachable through
-    /// [`GainSnapshot::view`] (and its weighted twin), whose caller must
+    /// [`GainSnapshot::view`], whose caller must
     /// pass the pool the snapshot was built from; the total-entry-count
     /// cross-check below catches a wrong-pool mix-up (it cannot prove
     /// the pools identical, but two pools rarely agree on the entry
@@ -196,258 +165,16 @@ impl<'a> CoverageView<'a> {
         self.set_offsets.memory_bytes()
     }
 
-    /// Lazy-heap greedy Max-Coverage over this view — bit-identical seeds
-    /// to [`crate::max_coverage_range`] on the same pool slice (which is
-    /// implemented as `build` + `select`).
+    /// Plain top-`k` greedy Max-Coverage over this view — what
+    /// [`crate::max_coverage_range`] runs (as `build` + `select`), and
+    /// [`CoverageView::select_with`] for [`crate::Selection::top_k`] with
+    /// integer results.
     ///
     /// `scratch` supplies the gain table, heap storage and the
     /// generation-stamped covered/selected marks; reusing one scratch
     /// across rounds skips all per-round clearing and reallocation.
     pub fn select(&self, k: usize, scratch: &mut GreedyScratch) -> CoverageResult {
-        self.select_inner(k, &SeedConstraints::none(), scratch, GainInit::Histogram)
-    }
-
-    /// [`CoverageView::select`] with the histogram pass replaced by a
-    /// memcpy of `snapshot`'s frozen gains and heap seed — the
-    /// frozen-pool fast path for callers answering many queries against
-    /// one sealed slice. Bit-identical to [`CoverageView::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` was built for a different id range.
-    pub fn select_from_snapshot(
-        &self,
-        snapshot: &GainSnapshot,
-        k: usize,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, &SeedConstraints::none(), scratch, GainInit::Frozen(snapshot))
-    }
-
-    /// [`CoverageView::select_from_snapshot`] over a *list* of per-epoch
-    /// snapshots tiling this view's range: the gain histograms of the
-    /// parts are summed and the heap seed is rebuilt from the merged
-    /// histogram (`O(n·parts)`), then selection proceeds exactly as with
-    /// a single frozen snapshot. Bit-identical to
-    /// [`CoverageView::select_constrained`] on the same slice — summing
-    /// per-epoch `u32` histograms produces the very counts one streaming
-    /// pass over the whole range would.
-    ///
-    /// This is the query-time half of epoch-incremental snapshot
-    /// maintenance: when a pool grows, only the new epoch needs freezing
-    /// ([`GainSnapshot::build`]); queries spanning old and new epochs
-    /// merge here instead of invalidating anything. Callers answering
-    /// the same multi-epoch range repeatedly should materialize the
-    /// merge once with [`GainSnapshot::merge`] and use the single-
-    /// snapshot fast path afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshots do not tile `self.range()` contiguously
-    /// in order, or if more than `k` seeds are forced.
-    pub fn select_from_snapshots(
-        &self,
-        parts: &[&GainSnapshot],
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Merged(parts))
-    }
-
-    /// [`CoverageView::select`] under [`SeedConstraints`]: forced seeds
-    /// are taken first (their coverage removed from every later gain),
-    /// excluded nodes are skipped by both the greedy loop and the
-    /// zero-gain padding. With empty constraints this *is* `select`.
-    pub fn select_constrained(
-        &self,
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Histogram)
-    }
-
-    /// [`CoverageView::select_from_snapshot`] under [`SeedConstraints`] —
-    /// the entry point of `sns-core`'s seed-query engine. Bit-identical
-    /// to [`CoverageView::select_constrained`] on the same inputs.
-    pub fn select_from_snapshot_constrained(
-        &self,
-        snapshot: &GainSnapshot,
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Frozen(snapshot))
-    }
-
-    /// Walks the sets of `v` within the view's range, marking each
-    /// still-uncovered one covered and decrementing its members' gains —
-    /// the decremental-update sweep shared by greedy picks and forced
-    /// seeds (and by the budgeted twin in [`crate::budgeted`]).
-    #[inline]
-    pub(crate) fn cover_sets_of(
-        &self,
-        v: NodeId,
-        generation: u32,
-        covered_stamp: &mut [u32],
-        gain: &mut [u32],
-    ) {
-        for id in self.rc.sets_containing_in(v, self.range.clone()) {
-            let slot = (id - self.range.start) as usize;
-            if covered_stamp[slot] == generation {
-                continue;
-            }
-            covered_stamp[slot] = generation;
-            for &w in self.members(slot) {
-                gain[w as usize] -= 1;
-            }
-        }
-    }
-
-    fn select_inner(
-        &self,
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        init: GainInit<'_>,
-    ) -> CoverageResult {
-        let n = self.rc.num_nodes();
-        let k = k.min(n as usize);
-        assert!(
-            constraints.forced.len() <= k,
-            "{} forced seeds exceed the budget k = {k}",
-            constraints.forced.len()
-        );
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.heap_buf);
-        heap_buf.clear();
-        let gain = &mut scratch.gain;
-        gain.clear();
-        match init {
-            GainInit::Frozen(snapshot) => {
-                // Frozen-pool fast path: both the exact gains and the
-                // nonzero heap seed are memcpys of the snapshot.
-                assert_eq!(
-                    snapshot.range(),
-                    self.range,
-                    "gain snapshot was built for a different pool slice"
-                );
-                gain.extend_from_slice(snapshot.gains());
-                heap_buf.extend_from_slice(snapshot.heap_seed());
-            }
-            GainInit::Merged(parts) => {
-                // Epoch-merge path: sum the per-epoch histograms (the
-                // counts one full-range streaming pass would produce,
-                // since `u32` addition is order-independent) and rebuild
-                // the nonzero heap seed from the merged table.
-                let mut pos = self.range.start;
-                for part in parts {
-                    assert_eq!(
-                        part.range().start,
-                        pos,
-                        "epoch snapshots must tile the view's range {:?} contiguously",
-                        self.range
-                    );
-                    assert_eq!(
-                        part.gains().len(),
-                        n as usize,
-                        "epoch snapshot spans a different node universe"
-                    );
-                    pos = part.range().end;
-                }
-                assert_eq!(pos, self.range.end, "epoch snapshots stop short of the view's range");
-                gain.resize(n as usize, 0);
-                for part in parts {
-                    for (g, &p) in gain.iter_mut().zip(part.gains()) {
-                        *g += p;
-                    }
-                }
-                heap_buf.extend(
-                    (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)),
-                );
-            }
-            GainInit::Histogram => {
-                // Exact current marginal gain per node, by one streaming
-                // histogram pass over the materialized members (== the
-                // in-range degree `sets_containing_in(v, range).len()`
-                // of every node).
-                gain.resize(n as usize, 0);
-                for &v in self.set_data {
-                    gain[v as usize] += 1;
-                }
-                heap_buf.extend(
-                    (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)),
-                );
-            }
-        }
-        let mut heap: BinaryHeap<(u32, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::with_capacity(k);
-        let mut marginal_gains = Vec::with_capacity(k);
-        let mut covered = 0u64;
-
-        // Excluded nodes are marked selected up front so neither the
-        // greedy loop nor the padding can return them.
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue; // duplicate forced seed: selected once
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            let g = gain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            if g > 0 {
-                self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            }
-        }
-
-        while seeds.len() < k {
-            let Some((g, v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let current = gain[v as usize];
-            if g > current {
-                // Stale entry: re-key with the exact gain. Gains only
-                // decrease, so the max-heap invariant stays sound.
-                if current > 0 {
-                    heap.push((current, v));
-                }
-                continue;
-            }
-            // g == current: v is the true argmax.
-            if current == 0 {
-                break; // nothing left to cover
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            seeds.push(v);
-            marginal_gains.push(u64::from(current));
-            covered += u64::from(current);
-            self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            debug_assert_eq!(gain[v as usize], 0);
-        }
-
-        // The paper's algorithms want exactly k seeds even when extra
-        // seeds add no coverage (I(S) still counts the seeds themselves).
-        // Pad with arbitrary unselected nodes, gain 0.
-        let mut next = 0u32;
-        while seeds.len() < k && next < n {
-            if scratch.selected_stamp[next as usize] != generation {
-                scratch.selected_stamp[next as usize] = generation;
-                seeds.push(next);
-                marginal_gains.push(0);
-            }
-            next += 1;
-        }
-
-        scratch.heap_buf = heap.into_vec();
-        CoverageResult { seeds, covered, marginal_gains }
+        self.run(&CountGains, None, &Selection::top_k(k), scratch).into_coverage()
     }
 
     /// The raw concatenated member data of the view's slice (what the
@@ -462,8 +189,8 @@ impl<'a> CoverageView<'a> {
         &self.set_offsets
     }
 
-    /// The pool this view snapshots (for the per-seed inverted queries
-    /// of the weighted selection twin in [`crate::snapshot`]).
+    /// The pool this view snapshots (for the kernel's per-seed inverted
+    /// queries).
     pub(crate) fn pool(&self) -> &RrCollection {
         self.rc
     }
@@ -474,7 +201,8 @@ impl<'a> CoverageView<'a> {
     }
 }
 
-/// Reusable working state for [`CoverageView::select`]: per-node gains,
+/// Reusable working state for [`CoverageView::select`] and
+/// [`CoverageView::select_with`]: per-node gains,
 /// heap storage, and generation-stamped covered/selected marks.
 ///
 /// The stamps make reuse O(1): a slot counts as covered only when its
@@ -485,22 +213,23 @@ impl<'a> CoverageView<'a> {
 /// to every selection round.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
-    /// Exact current marginal gain per node (valid during a run). `u32`
-    /// deliberately: a gain is bounded by the set-id space, and the
-    /// decrement sweep's random accesses profit from the halved table.
-    /// Shared with the budgeted ratio-greedy in [`crate::budgeted`].
+    /// Exact current marginal gain per node of count selections (valid
+    /// during a run). `u32` deliberately: a gain is bounded by the set-id
+    /// space, and the decrement sweep's random accesses profit from the
+    /// halved table.
     pub(crate) gain: Vec<u32>,
     /// Per-slot covered mark: covered iff `== generation`.
     pub(crate) covered_stamp: Vec<u32>,
     /// Per-node selected mark: selected iff `== generation`.
     pub(crate) selected_stamp: Vec<u32>,
-    /// Recycled backing storage of the lazy max-heap.
-    heap_buf: Vec<(u32, NodeId)>,
-    /// Weighted-query gain table (`Σ` of covered set weights per node;
-    /// used by [`CoverageView::select_weighted`]).
+    /// Recycled backing storage of the `(gain, id)` top-k heap.
+    pub(crate) heap_buf: Vec<(Ordered<u32>, NodeId)>,
+    /// Gain table of weighted selections (`Σ` of uncovered set weights
+    /// per node).
     pub(crate) wgain: Vec<f64>,
-    /// Recycled backing storage of the weighted lazy max-heap.
-    pub(crate) wheap_buf: Vec<(crate::snapshot::WeightOrd, NodeId)>,
+    /// Recycled backing storage of the `f64`-keyed heap (weighted gains
+    /// or budget ratios).
+    pub(crate) wheap_buf: Vec<(Ordered<f64>, NodeId)>,
     /// Current run's stamp; incremented by [`GreedyScratch::begin_run`].
     generation: u32,
 }
@@ -534,6 +263,46 @@ impl GreedyScratch {
     }
 }
 
+/// A heap key under a total order: a `u32` gain, or an `f64` gain or
+/// gain/cost ratio. Every `f64` key is finite (weights and costs are
+/// validated), so `total_cmp` is a plain bit trick, never a NaN
+/// judgement call. Same layout as the bare value, so a frozen heap seed
+/// is a memcpy either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Ordered<G>(pub(crate) G);
+
+impl Eq for Ordered<u32> {}
+
+impl PartialOrd for Ordered<u32> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ordered<u32> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl Eq for Ordered<f64> {}
+
+impl PartialOrd for Ordered<f64> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ordered<f64> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// Greedy Max-Coverage over the pool slice `range` with caller-owned
 /// working state — the allocation-recycling entry point for algorithms
 /// that select round after round (SSA, D-SSA, IMM, TIM).
@@ -553,7 +322,7 @@ pub fn max_coverage_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_coverage, max_coverage_naive};
+    use crate::max_coverage;
     use sns_diffusion::RrMeta;
 
     fn m() -> RrMeta {
@@ -612,15 +381,24 @@ mod tests {
 
     #[test]
     fn select_matches_naive_oracle() {
+        // The textbook rescan greedy, worked by hand: node 0 covers sets
+        // {0, 1, 2}, then node 4 the rest {3, 4}; padding follows in
+        // ascending id order.
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4], &[4, 1]], 5);
         let view = CoverageView::build(&rc, 0..5);
         let mut scratch = GreedyScratch::new();
-        for k in 1..=5 {
+        let naive: [(&[NodeId], u64, &[u64]); 5] = [
+            (&[0], 3, &[3]),
+            (&[0, 4], 5, &[3, 2]),
+            (&[0, 4, 1], 5, &[3, 2, 0]),
+            (&[0, 4, 1, 2], 5, &[3, 2, 0, 0]),
+            (&[0, 4, 1, 2, 3], 5, &[3, 2, 0, 0, 0]),
+        ];
+        for (k, (seeds, covered, gains)) in (1..).zip(naive) {
             let got = view.select(k, &mut scratch);
-            let want = max_coverage_naive(&rc, k);
-            assert_eq!(got.seeds, want.seeds, "k={k}");
-            assert_eq!(got.covered, want.covered, "k={k}");
-            assert_eq!(got.marginal_gains, want.marginal_gains, "k={k}");
+            assert_eq!(got.seeds, seeds, "k={k}");
+            assert_eq!(got.covered, covered, "k={k}");
+            assert_eq!(got.marginal_gains, gains, "k={k}");
         }
     }
 
@@ -628,14 +406,16 @@ mod tests {
     fn view_spans_sealed_and_pending_tiers() {
         // The per-seed queries go through the two-tier index; the sweep
         // goes through the arena copy — both must agree across a seal
-        // boundary.
+        // boundary with the same sets held in one tier.
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
         let _ = rc.seal();
         rc.push(&[0, 3], m());
         rc.push(&[3], m());
         assert!(rc.pending_sets() > 0);
+        let one_tier = pool(&[&[0, 1], &[0, 2], &[0, 3], &[3]], 4);
         let r = crate::max_coverage_range(&rc, 2, 0..4);
-        assert_eq!(r, max_coverage_naive(&rc, 2));
+        assert_eq!(r, max_coverage(&one_tier, 2));
+        assert_eq!((r.seeds, r.covered), (vec![0, 3], 4));
     }
 
     #[test]

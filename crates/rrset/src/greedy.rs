@@ -1,41 +1,52 @@
-//! Greedy Max-Coverage — Algorithm 2 of the paper.
+//! Greedy Max-Coverage — Algorithm 2 of the paper — as one lazy-heap
+//! kernel.
 //!
 //! The greedy algorithm repeatedly selects the node covering the most
 //! still-uncovered RR sets; Nemhauser–Wolsey submodularity gives the
-//! `(1 − 1/e)` guarantee relative to the best size-`k` cover. Two
-//! implementations:
+//! `(1 − 1/e)` guarantee relative to the best size-`k` cover. Every
+//! selection in this library — the solvers' rounds, the serving engine's
+//! top-k, targeted (TVM) and budgeted queries — is that one greedy, run by
+//! one private kernel from a [`Selection`] spec:
 //!
-//! * [`max_coverage`] / [`max_coverage_range`] — exact decremental
-//!   coverage counts plus a lazy max-heap (stale entries are re-keyed on
-//!   pop), the implementation used by every algorithm in this library.
-//!   Since the coverage-view refactor these run on a sealed
-//!   **CSR-transposed snapshot** of the queried pool slice
-//!   ([`crate::CoverageView`]): selection time first materializes the
-//!   transpose of the inverted index — a flat forward `set → members`
-//!   CSR with width-adaptive offsets rebased to the range (member data
-//!   borrowed zero-copy from the arena; dropped when selection returns) —
-//!   initializes gains with one streaming histogram pass instead of `n`
-//!   two-tier index queries, and runs every decremental gain update as a
-//!   contiguous slice sweep over the snapshot with a generation-stamped
-//!   covered bitset, instead of chasing `u64` arena offsets spread over
-//!   the whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds
-//!   are bit-identical to the pre-view implementation (same `(gain, id)`
-//!   max-heap tie-break). Algorithms that select round after round
-//!   (SSA, D-SSA, IMM, TIM) call [`crate::max_coverage_with`] to reuse
-//!   one [`crate::GreedyScratch`] across rounds.
-//! * [`max_coverage_naive`] — linear rescan of all nodes per round,
-//!   `O(n·k + Σ|R_j|)`. Kept as the correctness oracle and ablation
-//!   baseline; it deliberately keeps walking [`RrCollection`] directly so
-//!   the oracle shares no code with the view path it checks.
+//! * an [`Objective`]: [`Objective::Count`] maximizes the covered-set
+//!   count (`u32` gains, a `(gain, id)` max-heap); [`Objective::Weighted`]
+//!   maximizes the covered root-weight mass (`f64` gains, see
+//!   [`crate::GainSnapshot`]'s module for the estimator);
+//! * a [`Limit`]: [`Limit::TopK`] stops at `k` seeds;
+//!   [`Limit::Budget`] picks by `gain / cost` under a knapsack budget and
+//!   returns the better of that set and the best single affordable node
+//!   (see [`crate::NodeCosts`]);
+//! * `forced` seeds, selected first in order, and `excluded` nodes, never
+//!   selected — not even as zero-gain padding.
+//!
+//! The kernel is monomorphised over the objective and the limit, so each
+//! of the four combinations compiles to its own loop with no dispatch per
+//! heap pop. It runs on a [`CoverageView`] (a range-rebased forward CSR
+//! of the queried pool slice) with a generation-stamped
+//! [`crate::GreedyScratch`], and starts either from one streaming
+//! histogram pass over the slice ([`Start::Fresh`]) or from a memcpy of a
+//! frozen [`GainSnapshot`] ([`Start::Frozen`], [`Start::FrozenWeighted`]).
+//! Stale heap entries are re-keyed on pop: gains only decrease (costs are
+//! fixed, so ratios only decrease too), which keeps the lazy heap exact.
+//! Ties break on the larger node id. Total work is
+//! `O(Σ|R_j| + n + heap traffic)`.
+//!
+//! [`max_coverage`], [`max_coverage_range`] and
+//! [`crate::max_coverage_with`] are the plain top-`k` entry points the
+//! solvers call; the textbook rescan, the pre-view lazy heap and the
+//! bucket-queue greedies that check and benchmark this kernel live in
+//! `sns_bench::oracle`.
 
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
-use crate::coverage::{max_coverage_with, GreedyScratch};
-use crate::RrCollection;
+use crate::coverage::{max_coverage_with, GreedyScratch, Ordered};
+use crate::{CoverageView, GainSnapshot, NodeCosts, RrCollection};
 
-/// Result of a greedy max-coverage run.
+/// Result of a plain top-`k` greedy run ([`CoverageView::select`],
+/// [`max_coverage`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageResult {
     /// Selected seed nodes, in selection order.
@@ -57,6 +68,84 @@ impl CoverageResult {
     }
 }
 
+/// What a [`Selection`] maximizes.
+#[derive(Debug, Clone, Copy)]
+pub enum Objective<'a> {
+    /// The number of covered in-range sets (Algorithm 2).
+    Count,
+    /// The covered weight mass `Σ_{j covered} b(root of set j)` under
+    /// per-node target weights `b` — one finite, nonnegative weight per
+    /// node (sets store their root first).
+    Weighted(&'a [f64]),
+}
+
+/// What bounds a [`Selection`].
+#[derive(Debug, Clone, Copy)]
+pub enum Limit<'a> {
+    /// At most `k` seeds (clamped to the node count), padded to exactly
+    /// that many with zero-gain nodes once nothing is left to cover.
+    TopK(usize),
+    /// Seeds whose costs sum to at most the budget: ratio greedy, padded
+    /// with affordable zero-gain nodes, then the better of that set and
+    /// the best single affordable node.
+    Budget(f64, &'a NodeCosts),
+}
+
+/// One greedy Max-Coverage question: an objective, a limit and the
+/// seed-query side conditions. Run it with [`CoverageView::select_with`].
+#[derive(Debug, Clone, Copy)]
+pub struct Selection<'a> {
+    /// What to maximize.
+    pub objective: Objective<'a>,
+    /// When to stop.
+    pub limit: Limit<'a>,
+    /// Seeds selected unconditionally before the greedy loop, in order,
+    /// consuming the limit and coverage; duplicates are selected once.
+    pub forced: &'a [NodeId],
+    /// Nodes the selection must never return.
+    pub excluded: &'a [NodeId],
+}
+
+impl Selection<'_> {
+    /// The plain question: the best `k` seeds by covered-set count.
+    pub fn top_k(k: usize) -> Selection<'static> {
+        Selection { objective: Objective::Count, limit: Limit::TopK(k), forced: &[], excluded: &[] }
+    }
+}
+
+/// Where a selection's initial gains come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// One streaming pass over the view's slice.
+    Fresh,
+    /// A memcpy of a frozen count snapshot of the view's slice
+    /// ([`Objective::Count`] only).
+    Frozen(&'a GainSnapshot),
+    /// A memcpy of a frozen weighted snapshot of the view's slice, built
+    /// with the very weights of the selection's [`Objective::Weighted`].
+    FrozenWeighted(&'a GainSnapshot<f64>),
+}
+
+/// Result of [`CoverageView::select_with`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectionResult {
+    /// Selected seed nodes, in selection order (forced seeds first).
+    pub seeds: Vec<NodeId>,
+    /// Covered in-range sets ([`Objective::Count`]) or covered weight
+    /// mass ([`Objective::Weighted`]).
+    pub covered: f64,
+    /// Marginal gain of each seed at its selection time (`0` for
+    /// padding seeds).
+    pub marginal_gains: Vec<f64>,
+    /// Total cost charged against a [`Limit::Budget`] (`0` under
+    /// [`Limit::TopK`]).
+    pub spent: f64,
+    /// Whether the best-single-affordable-node arm of a budgeted
+    /// selection beat the ratio-greedy set (then `seeds` holds exactly
+    /// that one node).
+    pub single_fallback: bool,
+}
+
 /// Runs lazy-greedy max-coverage over the whole pool.
 pub fn max_coverage(rc: &RrCollection, k: usize) -> CoverageResult {
     max_coverage_range(rc, k, rc.id_range())
@@ -65,136 +154,628 @@ pub fn max_coverage(rc: &RrCollection, k: usize) -> CoverageResult {
 /// Runs lazy-greedy max-coverage over the pool slice `range` (used by
 /// D-SSA, whose candidate half is the id range `0..Λ·2^(t−1)`).
 ///
-/// Materializes a [`crate::CoverageView`] of the slice and selects on it;
-/// see [`crate::max_coverage_with`] to amortize the working buffers over
+/// Materializes a [`CoverageView`] of the slice and selects on it; see
+/// [`crate::max_coverage_with`] to amortize the working buffers over
 /// repeated rounds.
 pub fn max_coverage_range(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
     max_coverage_with(rc, k, range, &mut GreedyScratch::new())
 }
 
-/// Textbook greedy: rescans every node each round. Correctness oracle for
-/// [`max_coverage`] and the ablation baseline.
-pub fn max_coverage_naive(rc: &RrCollection, k: usize) -> CoverageResult {
-    let n = rc.num_nodes();
-    let k = k.min(n as usize);
-    let mut gain: Vec<u64> = (0..n).map(|v| rc.sets_containing(v).len() as u64).collect();
-    let mut covered_mark = vec![false; rc.len()];
-    let mut selected = vec![false; n as usize];
-    let mut seeds = Vec::with_capacity(k);
-    let mut marginal_gains = Vec::with_capacity(k);
-    let mut covered = 0u64;
-
-    for _ in 0..k {
-        let mut best: Option<(u64, NodeId)> = None;
-        for v in 0..n {
-            if selected[v as usize] || gain[v as usize] == 0 {
-                continue;
-            }
-            // Tie-break on the larger node id to mirror the heap's
-            // deterministic order: the (gain, id) max-heap pops the
-            // largest id first among equal gains.
-            let candidate = (gain[v as usize], v);
-            if best.is_none_or(|b| candidate > b) {
-                best = Some(candidate);
-            }
-        }
-        let Some((g, v)) = best else { break };
-        selected[v as usize] = true;
-        seeds.push(v);
-        marginal_gains.push(g);
-        covered += g;
-        for id in rc.sets_containing(v) {
-            let slot = id as usize;
-            if covered_mark[slot] {
-                continue;
-            }
-            covered_mark[slot] = true;
-            for &w in rc.set(slot) {
-                gain[w as usize] -= 1;
-            }
-        }
+/// A per-node gain: `u32` set counts or `f64` weight mass. `Default` is
+/// zero.
+pub(crate) trait Gain: Copy + PartialOrd + Default {
+    /// Running totals: `u64` counts or `f64` mass.
+    type Sum: Copy + PartialOrd + Default;
+    /// Whether covering more would still add anything.
+    #[inline]
+    fn positive(self) -> bool {
+        self > Self::default()
     }
-
-    let mut next = 0u32;
-    while seeds.len() < k && next < n {
-        if !selected[next as usize] {
-            selected[next as usize] = true;
-            seeds.push(next);
-            marginal_gains.push(0);
-        }
-        next += 1;
-    }
-
-    CoverageResult { seeds, covered, marginal_gains }
+    fn widen(self) -> Self::Sum;
+    fn add(sum: Self::Sum, g: Self) -> Self::Sum;
+    fn ratio(self, cost: f64) -> f64;
+    fn sum_f64(sum: Self::Sum) -> f64;
+    /// The scratch's recycled gain table of this type.
+    fn table(scratch: &mut GreedyScratch) -> &mut Vec<Self>;
 }
 
-/// The lazy-heap greedy exactly as it stood **before** the
-/// [`crate::CoverageView`] refactor, kept verbatim (do not optimize) as
-/// the bit-identity reference and ablation baseline: gain initialization
-/// issues one two-tier inverted-index query per node, and every
-/// decremental update walks `rc.set(id)` through the pool's `u64` arena
-/// offsets. Shared by the `greedy_coverage` bench and the acceptance
-/// property test so both compare against the same baseline.
-pub fn max_coverage_pre_refactor(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
-    use std::collections::BinaryHeap;
+impl Gain for u32 {
+    type Sum = u64;
+    #[inline]
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn add(sum: u64, g: u32) -> u64 {
+        sum + u64::from(g)
+    }
+    #[inline]
+    fn ratio(self, cost: f64) -> f64 {
+        // `u32 → f64` is exact, so with unit costs the ratio heap is
+        // order-isomorphic to the plain `(gain, id)` heap.
+        f64::from(self) / cost
+    }
+    fn sum_f64(sum: u64) -> f64 {
+        sum as f64
+    }
+    fn table(scratch: &mut GreedyScratch) -> &mut Vec<u32> {
+        &mut scratch.gain
+    }
+}
 
-    let n = rc.num_nodes();
-    let k = k.min(n as usize);
-    let range_len = (range.end - range.start) as usize;
+impl Gain for f64 {
+    type Sum = f64;
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn add(sum: f64, g: f64) -> f64 {
+        sum + g
+    }
+    #[inline]
+    fn ratio(self, cost: f64) -> f64 {
+        self / cost
+    }
+    fn sum_f64(sum: f64) -> f64 {
+        sum
+    }
+    fn table(scratch: &mut GreedyScratch) -> &mut Vec<f64> {
+        &mut scratch.wgain
+    }
+}
 
-    let mut gain: Vec<u64> =
-        (0..n).map(|v| rc.sets_containing_in(v, range.clone()).len() as u64).collect();
-    let mut heap: BinaryHeap<(u64, NodeId)> =
-        (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)).collect();
+/// A heap key type with a recycled heap buffer in the scratch.
+pub(crate) trait HeapKey: Ord + Copy {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)>;
+}
 
-    let mut covered_mark = vec![false; range_len];
-    let mut selected = vec![false; n as usize];
-    let mut seeds = Vec::with_capacity(k);
-    let mut marginal_gains = Vec::with_capacity(k);
-    let mut covered = 0u64;
+impl HeapKey for Ordered<u32> {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)> {
+        &mut scratch.heap_buf
+    }
+}
 
-    while seeds.len() < k {
-        let Some((g, v)) = heap.pop() else { break };
-        if selected[v as usize] {
-            continue;
+impl HeapKey for Ordered<f64> {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)> {
+        &mut scratch.wheap_buf
+    }
+}
+
+/// The objective half of the kernel: how gains start and how covering a
+/// set lowers them.
+pub(crate) trait Gains {
+    type G: Gain;
+    /// Fills `gains` (cleared by the caller) with every node's initial
+    /// gain over `view`'s slice.
+    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<Self::G>);
+    /// Marks `v`'s still-uncovered in-range sets covered and lowers their
+    /// members' gains.
+    fn cover(
+        &self,
+        view: &CoverageView<'_>,
+        v: NodeId,
+        generation: u32,
+        covered_stamp: &mut [u32],
+        gains: &mut [Self::G],
+    );
+}
+
+/// [`Objective::Count`]: one unit of gain per covered set.
+pub(crate) struct CountGains;
+
+impl Gains for CountGains {
+    type G = u32;
+
+    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<u32>) {
+        // The in-range degree `sets_containing_in(v, range).len()` of
+        // every node, by one streaming pass over the slice's members.
+        gains.resize(view.num_nodes() as usize, 0);
+        for &v in view.raw_members() {
+            gains[v as usize] += 1;
         }
-        let current = gain[v as usize];
-        if g > current {
-            if current > 0 {
-                heap.push((current, v));
-            }
-            continue;
-        }
-        if current == 0 {
-            break;
-        }
-        selected[v as usize] = true;
-        seeds.push(v);
-        marginal_gains.push(current);
-        covered += current;
-        for id in rc.sets_containing_in(v, range.clone()) {
+    }
+
+    #[inline]
+    fn cover(
+        &self,
+        view: &CoverageView<'_>,
+        v: NodeId,
+        generation: u32,
+        covered_stamp: &mut [u32],
+        gains: &mut [u32],
+    ) {
+        let range = view.range();
+        for id in view.pool().sets_containing_in(v, range.clone()) {
             let slot = (id - range.start) as usize;
-            if covered_mark[slot] {
+            if covered_stamp[slot] == generation {
                 continue;
             }
-            covered_mark[slot] = true;
-            for &w in rc.set(id as usize) {
-                gain[w as usize] -= 1;
+            covered_stamp[slot] = generation;
+            for &w in view.members(slot) {
+                gains[w as usize] -= 1;
+            }
+        }
+    }
+}
+
+/// [`Objective::Weighted`]: each covered set is worth its root's weight.
+pub(crate) struct WeightedGains<'w>(&'w [f64]);
+
+impl<'w> WeightedGains<'w> {
+    /// # Panics
+    ///
+    /// Panics unless `weights` holds one finite nonnegative weight per
+    /// node of an `n`-node universe.
+    pub(crate) fn new(weights: &'w [f64], n: u32) -> Self {
+        assert_eq!(weights.len(), n as usize, "need one weight per node");
+        assert!(
+            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+            "weights must be finite and nonnegative"
+        );
+        WeightedGains(weights)
+    }
+
+    /// The weight of the set in `members` (its root's weight; an empty
+    /// set has no root and weighs nothing).
+    #[inline]
+    fn set_weight(&self, members: &[NodeId]) -> f64 {
+        members.first().map_or(0.0, |&root| self.0[root as usize])
+    }
+}
+
+impl Gains for WeightedGains<'_> {
+    type G = f64;
+
+    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<f64>) {
+        // Slot order, so frozen and fresh float sums are bit-identical.
+        gains.resize(view.num_nodes() as usize, 0.0);
+        for slot in 0..view.len() {
+            let members = view.members(slot);
+            let w = self.set_weight(members);
+            if w == 0.0 {
+                continue;
+            }
+            for &v in members {
+                gains[v as usize] += w;
             }
         }
     }
 
-    let mut next = 0u32;
-    while seeds.len() < k && next < n {
-        if !selected[next as usize] {
-            selected[next as usize] = true;
-            seeds.push(next);
-            marginal_gains.push(0);
+    #[inline]
+    fn cover(
+        &self,
+        view: &CoverageView<'_>,
+        v: NodeId,
+        generation: u32,
+        covered_stamp: &mut [u32],
+        gains: &mut [f64],
+    ) {
+        let range = view.range();
+        for id in view.pool().sets_containing_in(v, range.clone()) {
+            let slot = (id - range.start) as usize;
+            if covered_stamp[slot] == generation {
+                continue;
+            }
+            covered_stamp[slot] = generation;
+            let members = view.members(slot);
+            let w = self.set_weight(members);
+            if w == 0.0 {
+                continue;
+            }
+            for &u in members {
+                gains[u as usize] -= w;
+            }
         }
-        next += 1;
+    }
+}
+
+/// `(gain, v)` for every node with positive gain, ascending `v` — the
+/// buffer a top-`k` heap starts from (and what a snapshot freezes).
+pub(crate) fn heap_seed<G: Gain>(gains: &[G], n: u32, out: &mut Vec<(Ordered<G>, NodeId)>) {
+    out.extend(
+        (0..n).filter(|&v| gains[v as usize].positive()).map(|v| (Ordered(gains[v as usize]), v)),
+    );
+}
+
+/// The limit half of the kernel: heap keys, when to stop, and what a
+/// seed costs.
+trait Bound<G: Gain> {
+    type Key: HeapKey;
+    /// Seeds the selection expects (a capacity hint).
+    fn capacity(&self) -> usize;
+    fn key(&self, g: G, v: NodeId) -> Self::Key;
+    /// Fills the heap buffer from the initial gains (or a frozen seed).
+    fn seed(
+        &self,
+        gains: &[G],
+        n: u32,
+        frozen: Option<&[(Ordered<G>, NodeId)]>,
+        heap: &mut Vec<(Self::Key, NodeId)>,
+    );
+    /// Whether another seed may be added after `picked` seeds.
+    fn open(&self, picked: usize) -> bool;
+    /// Charges `v`; `false` means `v` is unaffordable (and stays so).
+    fn charge(&mut self, v: NodeId) -> bool;
+    /// Charges a forced seed, which must fit.
+    fn charge_forced(&mut self, v: NodeId);
+    /// The best single affordable node, read off the initial gains, when
+    /// this limit guarantees `max(greedy, best single)`.
+    fn best_single(&self, gains: &[G], is_taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)>;
+    fn cost_of(&self, v: NodeId) -> f64;
+    fn spent(&self) -> f64;
+}
+
+/// [`Limit::TopK`] with `k` already clamped to the node count.
+struct TopK(usize);
+
+impl<G: Gain> Bound<G> for TopK
+where
+    Ordered<G>: HeapKey,
+{
+    type Key = Ordered<G>;
+
+    fn capacity(&self) -> usize {
+        self.0
     }
 
-    CoverageResult { seeds, covered, marginal_gains }
+    #[inline]
+    fn key(&self, g: G, _: NodeId) -> Ordered<G> {
+        Ordered(g)
+    }
+
+    fn seed(
+        &self,
+        gains: &[G],
+        n: u32,
+        frozen: Option<&[(Ordered<G>, NodeId)]>,
+        heap: &mut Vec<(Ordered<G>, NodeId)>,
+    ) {
+        match frozen {
+            Some(seed) => heap.extend_from_slice(seed),
+            None => heap_seed(gains, n, heap),
+        }
+    }
+
+    #[inline]
+    fn open(&self, picked: usize) -> bool {
+        picked < self.0
+    }
+
+    #[inline]
+    fn charge(&mut self, _: NodeId) -> bool {
+        true
+    }
+
+    fn charge_forced(&mut self, _: NodeId) {}
+
+    fn best_single(&self, _: &[G], _: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)> {
+        None
+    }
+
+    fn cost_of(&self, _: NodeId) -> f64 {
+        1.0
+    }
+
+    fn spent(&self) -> f64 {
+        0.0
+    }
+}
+
+/// [`Limit::Budget`]: the remaining budget and what has been spent.
+struct Budget<'c> {
+    costs: &'c NodeCosts,
+    budget: f64,
+    remaining: f64,
+    spent: f64,
+    min_cost: f64,
+}
+
+impl<G: Gain> Bound<G> for Budget<'_> {
+    type Key = Ordered<f64>;
+
+    fn capacity(&self) -> usize {
+        0
+    }
+
+    #[inline]
+    fn key(&self, g: G, v: NodeId) -> Ordered<f64> {
+        Ordered(g.ratio(self.costs.cost(v)))
+    }
+
+    fn seed(
+        &self,
+        gains: &[G],
+        n: u32,
+        _: Option<&[(Ordered<G>, NodeId)]>,
+        heap: &mut Vec<(Ordered<f64>, NodeId)>,
+    ) {
+        // A frozen seed holds gains, not ratios: rebuild from the table.
+        heap.extend(
+            (0..n)
+                .filter(|&v| gains[v as usize].positive())
+                .map(|v| (Bound::<G>::key(self, gains[v as usize], v), v)),
+        );
+    }
+
+    #[inline]
+    fn open(&self, _: usize) -> bool {
+        self.remaining >= self.min_cost
+    }
+
+    #[inline]
+    fn charge(&mut self, v: NodeId) -> bool {
+        let c = self.costs.cost(v);
+        if c > self.remaining {
+            return false;
+        }
+        self.remaining -= c;
+        self.spent += c;
+        true
+    }
+
+    fn charge_forced(&mut self, v: NodeId) {
+        let budget = self.budget;
+        assert!(Bound::<G>::charge(self, v), "forced seeds overrun the budget {budget}");
+    }
+
+    fn best_single(&self, gains: &[G], is_taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)> {
+        let mut best: Option<(G, NodeId)> = None;
+        for (v, &g) in (0..).zip(gains) {
+            if !g.positive() || is_taken(v) {
+                continue;
+            }
+            if self.costs.cost(v) <= self.budget && best.is_none_or(|b| (g, v) > b) {
+                best = Some((g, v));
+            }
+        }
+        best
+    }
+
+    fn cost_of(&self, v: NodeId) -> f64 {
+        self.costs.cost(v)
+    }
+
+    fn spent(&self) -> f64 {
+        self.spent
+    }
+}
+
+/// What the kernel picked, in the objective's own gain units.
+pub(crate) struct Picked<S> {
+    pub(crate) seeds: Vec<NodeId>,
+    pub(crate) covered: S,
+    pub(crate) marginal_gains: Vec<S>,
+    pub(crate) spent: f64,
+    pub(crate) single_fallback: bool,
+}
+
+impl Picked<u64> {
+    pub(crate) fn into_coverage(self) -> CoverageResult {
+        CoverageResult {
+            seeds: self.seeds,
+            covered: self.covered,
+            marginal_gains: self.marginal_gains,
+        }
+    }
+}
+
+impl<S: Copy> Picked<S> {
+    fn into_selection(self, to_f64: fn(S) -> f64) -> SelectionResult {
+        SelectionResult {
+            seeds: self.seeds,
+            covered: to_f64(self.covered),
+            marginal_gains: self.marginal_gains.into_iter().map(to_f64).collect(),
+            spent: self.spent,
+            single_fallback: self.single_fallback,
+        }
+    }
+}
+
+impl CoverageView<'_> {
+    /// Runs `selection` over this view's slice — the one entry point of
+    /// the greedy kernel (see the module docs). `start` supplies the
+    /// initial gains: a fresh streaming pass, or a memcpy of a frozen
+    /// snapshot of this very slice. Every start yields bit-identical
+    /// results; so does reusing `scratch` across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a snapshot was built for a different slice or does not
+    /// match the objective, if weights or costs are malformed, if more
+    /// than `k` seeds are forced under [`Limit::TopK`], if the budget is
+    /// not finite and nonnegative, or if the forced seeds alone overrun
+    /// it.
+    pub fn select_with(
+        &self,
+        selection: &Selection<'_>,
+        start: Start<'_>,
+        scratch: &mut GreedyScratch,
+    ) -> SelectionResult {
+        match (selection.objective, start) {
+            (Objective::Count, Start::Fresh) => {
+                self.run(&CountGains, None, selection, scratch).into_selection(u32::sum_f64)
+            }
+            (Objective::Count, Start::Frozen(snapshot)) => self
+                .run(&CountGains, Some(snapshot), selection, scratch)
+                .into_selection(u32::sum_f64),
+            (Objective::Weighted(w), Start::Fresh) => self
+                .run(&WeightedGains::new(w, self.num_nodes()), None, selection, scratch)
+                .into_selection(f64::sum_f64),
+            (Objective::Weighted(w), Start::FrozenWeighted(snapshot)) => self
+                .run(&WeightedGains::new(w, self.num_nodes()), Some(snapshot), selection, scratch)
+                .into_selection(f64::sum_f64),
+            (Objective::Count, Start::FrozenWeighted(_)) => {
+                panic!("a weighted gain snapshot cannot start a count selection")
+            }
+            (Objective::Weighted(_), Start::Frozen(_)) => {
+                panic!("a count gain snapshot cannot start a weighted selection")
+            }
+        }
+    }
+
+    /// Resolves the limit and runs the kernel for one objective.
+    pub(crate) fn run<O: Gains>(
+        &self,
+        gains: &O,
+        frozen: Option<&GainSnapshot<O::G>>,
+        selection: &Selection<'_>,
+        scratch: &mut GreedyScratch,
+    ) -> Picked<<O::G as Gain>::Sum>
+    where
+        Ordered<O::G>: HeapKey,
+    {
+        let n = self.num_nodes();
+        match selection.limit {
+            Limit::TopK(k) => {
+                let k = k.min(n as usize);
+                assert!(
+                    selection.forced.len() <= k,
+                    "{} forced seeds exceed the budget k = {k}",
+                    selection.forced.len()
+                );
+                self.kernel(gains, TopK(k), frozen, selection, scratch)
+            }
+            Limit::Budget(budget, costs) => {
+                assert!(
+                    budget.is_finite() && budget >= 0.0,
+                    "budget must be finite and nonnegative"
+                );
+                let min_cost = costs.validated_min(n);
+                let limit = Budget { costs, budget, remaining: budget, spent: 0.0, min_cost };
+                self.kernel(gains, limit, frozen, selection, scratch)
+            }
+        }
+    }
+
+    /// The lazy-heap greedy — the only selection loop in the crate.
+    fn kernel<O: Gains, L: Bound<O::G>>(
+        &self,
+        objective: &O,
+        mut limit: L,
+        frozen: Option<&GainSnapshot<O::G>>,
+        selection: &Selection<'_>,
+        scratch: &mut GreedyScratch,
+    ) -> Picked<<O::G as Gain>::Sum> {
+        let n = self.num_nodes();
+        let generation = scratch.begin_run(n as usize, self.len());
+
+        let mut gain = std::mem::take(O::G::table(scratch));
+        let mut heap_buf = std::mem::take(L::Key::heap(scratch));
+        gain.clear();
+        heap_buf.clear();
+        match frozen {
+            Some(snapshot) => {
+                assert_eq!(
+                    snapshot.range(),
+                    self.range(),
+                    "gain snapshot was built for a different pool slice"
+                );
+                gain.extend_from_slice(snapshot.gains());
+            }
+            None => objective.init(self, &mut gain),
+        }
+
+        // Excluded nodes are marked selected before anything reads the
+        // gain table, so neither the greedy loop, the padding nor the
+        // single-node fallback can return them.
+        for &v in selection.excluded {
+            scratch.selected_stamp[v as usize] = generation;
+        }
+        // The other arm of a budget's max(greedy, best single)
+        // guarantee, read off the initial gains. Forced seeds change what
+        // the query means (the fallback would drop them), so the arm
+        // only applies to unconstrained-prefix queries.
+        let best_single = if selection.forced.is_empty() {
+            let stamps = &scratch.selected_stamp;
+            limit.best_single(&gain, |v| stamps[v as usize] == generation)
+        } else {
+            None
+        };
+        limit.seed(&gain, n, frozen.map(GainSnapshot::heap_seed), &mut heap_buf);
+        let mut heap = BinaryHeap::from(heap_buf);
+
+        let mut seeds = Vec::with_capacity(limit.capacity());
+        let mut marginal_gains = Vec::with_capacity(limit.capacity());
+        let mut covered = <O::G as Gain>::Sum::default();
+
+        for &v in selection.forced {
+            if scratch.selected_stamp[v as usize] == generation {
+                continue; // duplicate forced seed: selected (and charged) once
+            }
+            limit.charge_forced(v);
+            scratch.selected_stamp[v as usize] = generation;
+            let g = gain[v as usize];
+            seeds.push(v);
+            marginal_gains.push(g.widen());
+            covered = O::G::add(covered, g);
+            if g.positive() {
+                objective.cover(self, v, generation, &mut scratch.covered_stamp, &mut gain);
+            }
+        }
+
+        while limit.open(seeds.len()) {
+            let Some((key, v)) = heap.pop() else { break };
+            if scratch.selected_stamp[v as usize] == generation {
+                continue;
+            }
+            let current = gain[v as usize];
+            let current_key = limit.key(current, v);
+            if key > current_key {
+                // Stale entry: re-key with the exact value.
+                if current.positive() {
+                    heap.push((current_key, v));
+                }
+                continue;
+            }
+            if !current.positive() {
+                break; // nothing left to cover
+            }
+            if !limit.charge(v) {
+                // Unaffordable now; the budget only shrinks, so retire
+                // the node for the rest of the run (padding included).
+                scratch.selected_stamp[v as usize] = generation;
+                continue;
+            }
+            scratch.selected_stamp[v as usize] = generation;
+            seeds.push(v);
+            marginal_gains.push(current.widen());
+            covered = O::G::add(covered, current);
+            objective.cover(self, v, generation, &mut scratch.covered_stamp, &mut gain);
+        }
+
+        // The paper's algorithms want exactly k seeds even when extra
+        // seeds add no coverage (I(S) still counts the seeds themselves);
+        // a budget spends what is left. Pad with unselected nodes in
+        // ascending id order, gain 0.
+        let mut next = 0u32;
+        while next < n && limit.open(seeds.len()) {
+            if scratch.selected_stamp[next as usize] != generation && limit.charge(next) {
+                scratch.selected_stamp[next as usize] = generation;
+                seeds.push(next);
+                marginal_gains.push(O::G::default().widen());
+            }
+            next += 1;
+        }
+
+        *L::Key::heap(scratch) = heap.into_vec();
+        *O::G::table(scratch) = gain;
+
+        if let Some((g, v)) = best_single {
+            if g.widen() > covered {
+                // The single affordable node beats the whole ratio-greedy
+                // set — the classical bad case for plain ratio greedy.
+                return Picked {
+                    seeds: vec![v],
+                    covered: g.widen(),
+                    marginal_gains: vec![g.widen()],
+                    spent: limit.cost_of(v),
+                    single_fallback: true,
+                };
+            }
+        }
+        Picked { seeds, covered, marginal_gains, spent: limit.spent(), single_fallback: false }
+    }
 }
 
 #[cfg(test)]
@@ -271,36 +852,37 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matches_naive_on_random_pools() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
-        for trial in 0..30 {
-            let n = rng.gen_range(5..40u32);
-            let sets = rng.gen_range(1..120usize);
-            let mut rc = RrCollection::new(n);
-            for _ in 0..sets {
-                let len = rng.gen_range(1..6usize);
-                let mut s: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n)).collect();
-                s.sort_unstable();
-                s.dedup();
-                rc.push(&s, m());
-            }
-            let k = rng.gen_range(1..6usize);
-            let lazy = max_coverage(&rc, k);
-            let naive = max_coverage_naive(&rc, k);
-            // Greedy choices can differ on ties, but total coverage of the
-            // greedy solution is unique given deterministic tie-breaks; we
-            // assert both use (gain, id) max ordering so seeds match too.
-            assert_eq!(lazy.covered, naive.covered, "trial {trial}");
-            assert_eq!(lazy.seeds, naive.seeds, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn influence_estimate_scales() {
         let rc = pool(&[&[0], &[0], &[1], &[2]], 3);
         let r = max_coverage(&rc, 1);
         // covers 2 of 4 sets; gamma = 3 nodes -> estimate 1.5
         assert!((r.influence_estimate(3.0, 4) - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn select_with_top_k_equals_select() {
+        let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4], &[4, 1]], 5);
+        let view = CoverageView::build(&rc, 0..5);
+        let mut scratch = GreedyScratch::new();
+        for k in 1..=5 {
+            let plain = view.select(k, &mut scratch);
+            let spec = view.select_with(&Selection::top_k(k), Start::Fresh, &mut scratch);
+            assert_eq!(spec.seeds, plain.seeds);
+            assert_eq!(spec.covered, plain.covered as f64);
+            let gains: Vec<f64> = plain.marginal_gains.iter().map(|&g| g as f64).collect();
+            assert_eq!(spec.marginal_gains, gains);
+            assert_eq!((spec.spent, spec.single_fallback), (0.0, false));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot start a weighted selection")]
+    fn snapshot_must_match_the_objective() {
+        let rc = pool(&[&[0, 1]], 2);
+        let view = CoverageView::build(&rc, 0..1);
+        let snap = GainSnapshot::build(&view);
+        let w = [1.0, 1.0];
+        let spec = Selection { objective: Objective::Weighted(&w), ..Selection::top_k(1) };
+        view.select_with(&spec, Start::Frozen(&snap), &mut GreedyScratch::new());
     }
 }

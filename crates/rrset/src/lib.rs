@@ -3,16 +3,20 @@
 //! Every RIS algorithm works on a growing pool `R` of Reverse Reachable
 //! sets and repeatedly needs two operations:
 //!
-//! * **Max-Coverage** (Algorithm 2 of the paper): pick `k` nodes covering
-//!   the most RR sets — [`max_coverage`] implements the standard greedy
-//!   with a lazy priority queue (gains are submodular, so stale heap
-//!   entries are safe), running on a selection-time [`CoverageView`]: a
-//!   sealed CSR-transposed snapshot of the queried pool slice that turns
-//!   decremental gain updates into contiguous slice sweeps with a
-//!   generation-stamped covered bitset ([`GreedyScratch`], reusable
-//!   across rounds via [`max_coverage_with`]). [`max_coverage_naive`] is
-//!   the textbook rescan version used for cross-checks and ablation
-//!   benches.
+//! * **Max-Coverage** (Algorithm 2 of the paper): pick seeds covering
+//!   the most RR sets. One lazy-heap greedy kernel answers every variant
+//!   from a [`Selection`] spec — an [`Objective`] (covered-set count, or
+//!   the root-weighted mass of targeted viral marketing), a [`Limit`]
+//!   (top-`k`, or a cost budget over [`NodeCosts`]) and forced/excluded
+//!   seeds — through [`CoverageView::select_with`]. A [`CoverageView`] is
+//!   a selection-time, range-rebased forward CSR of the queried pool
+//!   slice that turns decremental gain updates into contiguous slice
+//!   sweeps with a generation-stamped covered bitset ([`GreedyScratch`],
+//!   reusable across rounds via [`max_coverage_with`]). Selection starts
+//!   from a fresh gain histogram or from a frozen [`GainSnapshot`] of the
+//!   slice (mergeable per sealed epoch, the serving engine's cache unit).
+//!   [`max_coverage`] and [`max_coverage_range`] are the solvers' plain
+//!   top-`k` entry points.
 //! * **Coverage queries**: `Cov_R(S)` for the stopping conditions —
 //!   [`RrCollection::coverage_of`].
 //!
@@ -26,7 +30,6 @@
 //! D-SSA splits its sample stream into halves (`R_t`, `R^c_t`); both
 //! [`max_coverage_range`] and [`RrCollection::coverage_of_range`] take a
 //! set-id range so the halves can live in one pool without copying.
-
 //!
 //! The repository-level pipeline walk-through (sampler → inverted
 //! index → coverage view → gain snapshots → query engine) lives in
@@ -35,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 mod budgeted;
 mod collection;
 mod coverage;
@@ -46,14 +48,14 @@ pub mod narrow;
 mod snapshot;
 pub mod store;
 
-pub use bucket::max_coverage_bucket;
-pub use budgeted::{BudgetedCoverageResult, NodeCosts};
+pub use budgeted::NodeCosts;
 pub use collection::{RrCollection, SealOutcome};
-pub use coverage::{max_coverage_with, CoverageView, GreedyScratch, SeedConstraints};
+pub use coverage::{max_coverage_with, CoverageView, GreedyScratch};
 pub use directory::{DirectoryWriter, EpochDirectory};
 pub use greedy::{
-    max_coverage, max_coverage_naive, max_coverage_pre_refactor, max_coverage_range, CoverageResult,
+    max_coverage, max_coverage_range, CoverageResult, Limit, Objective, Selection, SelectionResult,
+    Start,
 };
 pub use index::SetIds;
-pub use snapshot::{GainSnapshot, WeightedCoverageResult, WeightedGainSnapshot};
+pub use snapshot::GainSnapshot;
 pub use store::{PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint};

@@ -1,20 +1,20 @@
-//! Frozen-pool gain snapshots and weighted-universe selection — the
-//! pieces that turn the per-call [`CoverageView`] into a query-serving
-//! subsystem.
+//! Frozen-pool gain snapshots — the pieces that turn the per-call
+//! [`CoverageView`] into a query-serving subsystem.
 //!
 //! # Gain snapshots
 //!
-//! [`CoverageView::select`] recomputes the initial gain histogram (one
-//! streaming pass over the slice's members, `O(entries)`) and rebuilds
-//! the nonzero heap seed (`O(n)`) on every call — unavoidable for RIS
-//! algorithms, whose pool grows between selections, but pure waste for a
-//! *frozen* pool answering query after query. [`GainSnapshot::build`]
-//! runs both passes **once** and freezes the results; the
-//! [`CoverageView::select_from_snapshot`] fast path then starts each
-//! query with two memcpys (gain table + heap seed) instead. Selection is
-//! bit-identical to the histogram path: the frozen arrays are exactly
-//! what the per-call initialization would have produced, and everything
-//! downstream is shared code.
+//! A fresh selection ([`Start::Fresh`](crate::Start::Fresh)) recomputes
+//! the initial gain table (one streaming pass over the slice's members,
+//! `O(entries)`) and the nonzero heap seed (`O(n)`) on every call —
+//! unavoidable for RIS algorithms, whose pool grows between selections,
+//! but pure waste for a *frozen* pool answering query after query.
+//! [`GainSnapshot::build`] runs both passes **once** and freezes the
+//! results; a selection started from it
+//! ([`Start::Frozen`](crate::Start::Frozen)) begins with two memcpys
+//! (gain table + heap seed) instead. Selection is bit-identical to the
+//! fresh path: the frozen arrays are exactly what the per-call
+//! initialization would have produced, and everything downstream is the
+//! same kernel.
 //!
 //! A snapshot is immutable and detached from the pool borrow (it owns
 //! plain arrays — including the slice's rebased CSR offsets, so
@@ -28,59 +28,66 @@
 //! growth never *invalidates* a snapshot — it only leaves new ids
 //! uncovered. The incremental scheme freezes one snapshot per sealed
 //! pool epoch (`RrCollection::epoch_boundaries`) and answers a query
-//! spanning several epochs by **merging**: gain histograms sum, the
-//! heap seed is rebuilt from the merged histogram, offsets concatenate
-//! — either materialized once ([`GainSnapshot::merge`]) or at query
-//! time ([`CoverageView::select_from_snapshots`]). Both are
-//! bit-identical to a from-scratch snapshot of the union range, so a
-//! pool extension costs one new epoch freeze instead of a wholesale
-//! cache rebuild. See `docs/ARCHITECTURE.md` (repository root) for the
-//! lifecycle diagram.
+//! spanning several epochs from their [`GainSnapshot::merge`]: gain
+//! histograms sum, the heap seed is rebuilt from the merged histogram,
+//! offsets concatenate. The merge is bit-identical to a from-scratch
+//! snapshot of the union range, so a pool extension costs one new epoch
+//! freeze instead of a wholesale cache rebuild. See `docs/ARCHITECTURE.md`
+//! (repository root) for the lifecycle diagram.
 //!
 //! # Weighted universes
 //!
-//! [`CoverageView::select_weighted`] answers targeted (TVM-style)
-//! queries against an *unweighted* (uniform-root) pool: per-query node
-//! weights `b(v)` turn into per-set weights `w_j = b(root of set j)`
-//! (sets store their root first), and greedy maximizes the covered
-//! weight mass `Σ_{j covered} w_j` instead of the covered count. Since
-//! roots are uniform, `E[b(root)·1{S covers R}] = I_T(S)/n`, so
-//! `n·(covered weight)/|R|` estimates the targeted influence — one
-//! frozen pool serves every target group without resampling. (This is a
-//! self-normalized reweighting of Lemma 1, not the paper's WRIS sampler:
-//! precision concentrates where `b` does, so sparse target groups warrant
-//! proportionally larger pools — see `docs/DERIVATIONS.md` §5.) The path
-//! shares the constraint handling, stamps and tie-breaking of the
-//! unweighted loop. One-off weight vectors pay a per-query gain pass;
-//! *recurring* ones (a topic queried again and again) freeze it once in
-//! a [`WeightedGainSnapshot`] and start from a memcpy like the
-//! unweighted fast path.
+//! [`Objective::Weighted`](crate::Objective::Weighted) answers targeted
+//! (TVM-style) queries against an *unweighted* (uniform-root) pool:
+//! per-query node weights `b(v)` turn into per-set weights
+//! `w_j = b(root of set j)` (sets store their root first), and greedy
+//! maximizes the covered weight mass `Σ_{j covered} w_j` instead of the
+//! covered count. Since roots are uniform, `E[b(root)·1{S covers R}] =
+//! I_T(S)/n`, so `n·(covered weight)/|R|` estimates the targeted
+//! influence — one frozen pool serves every target group without
+//! resampling. (This is a self-normalized reweighting of Lemma 1, not the
+//! paper's WRIS sampler: precision concentrates where `b` does, so sparse
+//! target groups warrant proportionally larger pools — see
+//! `docs/DERIVATIONS.md` §5.) One-off weight vectors pay a per-query gain
+//! pass; *recurring* ones (a topic queried again and again) freeze it
+//! once in a `GainSnapshot<f64>` ([`GainSnapshot::weighted`]) and start
+//! from a memcpy like the count path.
 
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
+use crate::coverage::Ordered;
+use crate::greedy::{heap_seed, CountGains, Gain, Gains, WeightedGains};
 use crate::index::CsrOffsets;
-use crate::{CoverageView, GreedyScratch, RrCollection, SeedConstraints};
+use crate::{CoverageView, RrCollection};
 
-/// The frozen per-node gain state of one pool slice: exactly what
-/// [`CoverageView::select`]'s initialization pass computes, sealed once
-/// so repeated queries start from a memcpy (see the module docs).
+/// The frozen initial state of a selection over one pool slice: exactly
+/// what a fresh selection's initialization pass computes, sealed once so
+/// repeated queries start from a memcpy (see the module docs).
 ///
-/// Since PR 4 a snapshot also freezes the slice's rebased forward-CSR
-/// offsets, so [`GainSnapshot::view`] reconstructs a [`CoverageView`] in
-/// `O(1)` — a steady-state cache hit does zero `O(range_len)` rebase
-/// work — and snapshots of *adjacent* slices (one per sealed pool epoch)
-/// can be [`GainSnapshot::merge`]d without touching the pool arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GainSnapshot {
+/// `GainSnapshot` (`G = u32`) freezes covered-set counts and serves
+/// every count selection over the slice — top-k and budgeted alike, since
+/// costs are per-query data. `GainSnapshot<f64>` freezes the weighted
+/// gains under one fixed weight vector, so it is only reusable while
+/// *both* the slice and the weights are fixed — the repeated-topic (TVM)
+/// serving case; `sns-core`'s `SeedQueryEngine` keys these by
+/// `(range, topic id)` and verifies the weight vector by `Arc` identity.
+///
+/// A snapshot also freezes the slice's rebased forward-CSR offsets, so
+/// [`GainSnapshot::view`] reconstructs a [`CoverageView`] in `O(1)` — a
+/// steady-state cache hit does zero `O(range_len)` rebase work — and
+/// count snapshots of *adjacent* slices (one per sealed pool epoch) can
+/// be [`GainSnapshot::merge`]d without touching the pool arena.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GainSnapshot<G = u32> {
     range: Range<u32>,
-    /// `gains[v]` = number of in-range sets containing node `v`.
-    gains: Vec<u32>,
-    /// `(gain, v)` for every node with nonzero gain, ascending `v` — the
-    /// exact buffer the selection loop heapifies.
-    heap_seed: Vec<(u32, NodeId)>,
+    /// `gains[v]` = the in-range sets containing node `v` (counted, or
+    /// summed by root weight).
+    gains: Vec<G>,
+    /// `(gain, v)` for every node with positive gain, ascending `v` — the
+    /// exact buffer a top-k selection heapifies.
+    heap_seed: Vec<(Ordered<G>, NodeId)>,
     /// The slice's rebased forward-CSR offsets, exactly as
     /// [`CoverageView::build`] computes them.
     offsets: CsrOffsets,
@@ -91,14 +98,7 @@ impl GainSnapshot {
     /// freezes the result (gains, heap seed, and the view's rebased
     /// offsets).
     pub fn build(view: &CoverageView<'_>) -> Self {
-        let n = view.num_nodes();
-        let mut gains = vec![0u32; n as usize];
-        for &v in view.raw_members() {
-            gains[v as usize] += 1;
-        }
-        let heap_seed =
-            (0..n).filter(|&v| gains[v as usize] > 0).map(|v| (gains[v as usize], v)).collect();
-        GainSnapshot { range: view.range(), gains, heap_seed, offsets: view.offsets().clone() }
+        Self::freeze(view, &CountGains)
     }
 
     /// Merges snapshots of adjacent pool slices into the snapshot of
@@ -133,18 +133,51 @@ impl GainSnapshot {
                 *g += p;
             }
         }
-        let heap_seed = (0..n as u32)
-            .filter(|&v| gains[v as usize] > 0)
-            .map(|v| (gains[v as usize], v))
-            .collect();
+        let mut heap = Vec::new();
+        heap_seed(&gains, crate::narrow::node_count(n), &mut heap);
         let offsets = CsrOffsets::concat(&parts.iter().map(|p| &p.offsets).collect::<Vec<_>>());
-        GainSnapshot { range, gains, heap_seed, offsets }
+        GainSnapshot { range, gains, heap_seed: heap, offsets }
+    }
+}
+
+impl GainSnapshot<f64> {
+    /// Runs the weighted gain and heap-seed passes for `view`'s slice
+    /// under `node_weights` and freezes the result. Floating-point sums
+    /// run in the same order as a fresh weighted selection's, so a
+    /// selection started from this snapshot is bit-identical to one
+    /// started fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_weights` is not one finite nonnegative weight per
+    /// node.
+    pub fn weighted(view: &CoverageView<'_>, node_weights: &[f64]) -> Self {
+        Self::freeze(view, &WeightedGains::new(node_weights, view.num_nodes()))
+    }
+}
+
+impl<G> GainSnapshot<G> {
+    fn freeze<O: Gains<G = G>>(view: &CoverageView<'_>, objective: &O) -> Self
+    where
+        G: Gain,
+    {
+        let mut gains = Vec::new();
+        objective.init(view, &mut gains);
+        let mut heap = Vec::new();
+        heap_seed(&gains, view.num_nodes(), &mut heap);
+        GainSnapshot {
+            range: view.range(),
+            gains,
+            heap_seed: heap,
+            offsets: view.offsets().clone(),
+        }
     }
 
     /// Reconstructs a [`CoverageView`] for this snapshot's slice in
     /// `O(1)`, lending the frozen offsets instead of rebasing — pair with
-    /// [`CoverageView::select_from_snapshot`] for the zero-rebase query
-    /// path.
+    /// [`Start::Frozen`](crate::Start::Frozen) (or
+    /// [`Start::FrozenWeighted`](crate::Start::FrozenWeighted)) for the
+    /// zero-rebase query path.
     ///
     /// # Panics
     ///
@@ -161,343 +194,49 @@ impl GainSnapshot {
     }
 
     /// The frozen per-node gains (length = the pool's node count).
-    pub fn gains(&self) -> &[u32] {
+    pub fn gains(&self) -> &[G] {
         &self.gains
     }
 
     /// The frozen nonzero heap seed.
-    pub(crate) fn heap_seed(&self) -> &[(u32, NodeId)] {
+    pub(crate) fn heap_seed(&self) -> &[(Ordered<G>, NodeId)] {
         &self.heap_seed
     }
 
     /// Bytes owned by the frozen arrays (counting capacities).
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.gains.capacity() * size_of::<u32>()
-            + self.heap_seed.capacity() * size_of::<(u32, NodeId)>()) as u64
+        (self.gains.capacity() * size_of::<G>()
+            + self.heap_seed.capacity() * size_of::<(Ordered<G>, NodeId)>()) as u64
             + self.offsets.memory_bytes()
-    }
-}
-
-/// A nonnegative finite `f64` gain with the total order weighted
-/// selection needs for its max-heap. Construction is crate-internal and
-/// every constructor site validates finiteness, so `total_cmp` is a
-/// plain bit trick, never a NaN judgement call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightOrd(pub(crate) f64);
-
-impl Eq for WeightOrd {}
-
-impl PartialOrd for WeightOrd {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WeightOrd {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// The frozen initial state of a *weighted* selection over one pool
-/// slice under one fixed weight vector: the weighted gain table and heap
-/// seed that [`CoverageView::select_weighted`] recomputes per call
-/// (`O(entries)` streaming additions), plus the slice's rebased offsets.
-///
-/// Weighted gains depend on the query's weight vector, so a weighted
-/// snapshot is only reusable while *both* the slice and the weights are
-/// fixed — the repeated-topic (TVM) serving case. `sns-core`'s
-/// `SeedQueryEngine` keys these by `(range, topic id)` and verifies the
-/// weight vector by `Arc` identity. Floating-point sums are performed in
-/// the same order as the per-call pass, so selection through a frozen
-/// weighted snapshot is bit-identical to the fresh path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedGainSnapshot {
-    range: Range<u32>,
-    /// `wgains[v]` = Σ of `node_weights[root(j)]` over in-range sets `j`
-    /// containing `v`.
-    wgains: Vec<f64>,
-    /// `(weight, v)` for every node with positive weighted gain,
-    /// ascending `v` — the exact buffer the weighted loop heapifies.
-    heap_seed: Vec<(WeightOrd, NodeId)>,
-    /// The slice's rebased forward-CSR offsets (as [`GainSnapshot`]).
-    offsets: CsrOffsets,
-}
-
-impl WeightedGainSnapshot {
-    /// Runs the weighted gain-init pass for `view`'s slice under
-    /// `node_weights` and freezes the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_weights` is not one finite nonnegative weight per
-    /// node.
-    pub fn build(view: &CoverageView<'_>, node_weights: &[f64]) -> Self {
-        let n = view.num_nodes();
-        assert_eq!(node_weights.len(), n as usize, "need one weight per node");
-        assert!(
-            node_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be finite and nonnegative"
-        );
-        let mut wgains = vec![0.0f64; n as usize];
-        accumulate_weighted_gains(view, node_weights, &mut wgains);
-        let heap_seed = (0..n)
-            .filter(|&v| wgains[v as usize] > 0.0)
-            .map(|v| (WeightOrd(wgains[v as usize]), v))
-            .collect();
-        WeightedGainSnapshot {
-            range: view.range(),
-            wgains,
-            heap_seed,
-            offsets: view.offsets().clone(),
-        }
-    }
-
-    /// Reconstructs a [`CoverageView`] for this snapshot's slice in
-    /// `O(1)` from the frozen offsets (see [`GainSnapshot::view`]).
-    pub fn view<'a>(&'a self, rc: &'a RrCollection) -> CoverageView<'a> {
-        CoverageView::with_frozen_offsets(rc, self.range.clone(), &self.offsets)
-    }
-
-    /// The pool id range this snapshot froze.
-    pub fn range(&self) -> Range<u32> {
-        self.range.clone()
-    }
-
-    /// Bytes owned by the frozen arrays (counting capacities).
-    pub fn memory_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        (self.wgains.capacity() * size_of::<f64>()
-            + self.heap_seed.capacity() * size_of::<(WeightOrd, NodeId)>()) as u64
-            + self.offsets.memory_bytes()
-    }
-}
-
-/// The weighted gain-init pass shared by the per-call path and
-/// [`WeightedGainSnapshot::build`]: adds each in-range set's root weight
-/// to all of its members, in slot order (so frozen and fresh float sums
-/// are bit-identical).
-fn accumulate_weighted_gains(view: &CoverageView<'_>, node_weights: &[f64], wgains: &mut [f64]) {
-    for slot in 0..view.len() {
-        let members = view.members(slot);
-        // Sets store their root first; an empty set has no root and
-        // carries no weight.
-        let Some(&root) = members.first() else { continue };
-        let w = node_weights[root as usize];
-        if w == 0.0 {
-            continue;
-        }
-        for &v in members {
-            wgains[v as usize] += w;
-        }
-    }
-}
-
-/// Result of a weighted greedy selection
-/// ([`CoverageView::select_weighted`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedCoverageResult {
-    /// Selected seed nodes, in selection order.
-    pub seeds: Vec<NodeId>,
-    /// Total weight mass of the covered in-range sets.
-    pub covered_weight: f64,
-    /// Marginal weight gain of each seed at its selection time.
-    pub marginal_gains: Vec<f64>,
-}
-
-impl CoverageView<'_> {
-    /// Greedy Max-Coverage with per-set weights `w_j = node_weights[root
-    /// of set j]` — the weighted-universe (targeted viral marketing)
-    /// query path; see the module docs for the estimator it backs.
-    ///
-    /// Deterministic: ties break on the larger node id, exactly like the
-    /// unweighted loop. Gains only decrease (weights are validated
-    /// nonnegative), so the lazy-heap invariant carries over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_weights` is not one finite nonnegative weight per
-    /// node, or if more than `k` seeds are forced.
-    pub fn select_weighted(
-        &self,
-        k: usize,
-        node_weights: &[f64],
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> WeightedCoverageResult {
-        self.select_weighted_inner(k, node_weights, constraints, scratch, None)
-    }
-
-    /// [`CoverageView::select_weighted`] with the per-call weighted
-    /// gain-init pass replaced by a memcpy of `snapshot`'s frozen table
-    /// and heap seed — the repeated-topic fast path. `node_weights` must
-    /// be the same weights the snapshot was built with (the decremental
-    /// updates still consult them); the engine layer enforces this via
-    /// topic keying. Bit-identical to [`CoverageView::select_weighted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` was built for a different pool slice, if
-    /// `node_weights` is malformed, or if more than `k` seeds are forced.
-    pub fn select_weighted_from_snapshot(
-        &self,
-        snapshot: &WeightedGainSnapshot,
-        k: usize,
-        node_weights: &[f64],
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> WeightedCoverageResult {
-        self.select_weighted_inner(k, node_weights, constraints, scratch, Some(snapshot))
-    }
-
-    fn select_weighted_inner(
-        &self,
-        k: usize,
-        node_weights: &[f64],
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        frozen: Option<&WeightedGainSnapshot>,
-    ) -> WeightedCoverageResult {
-        let n = self.num_nodes();
-        let k = k.min(n as usize);
-        assert_eq!(node_weights.len(), n as usize, "need one weight per node");
-        assert!(
-            node_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be finite and nonnegative"
-        );
-        assert!(
-            constraints.forced.len() <= k,
-            "{} forced seeds exceed the budget k = {k}",
-            constraints.forced.len()
-        );
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.wheap_buf);
-        heap_buf.clear();
-        scratch.wgain.clear();
-        match frozen {
-            Some(snapshot) => {
-                // Frozen-topic fast path: gains and heap seed are memcpys.
-                assert_eq!(
-                    snapshot.range(),
-                    self.range(),
-                    "weighted gain snapshot was built for a different pool slice"
-                );
-                scratch.wgain.extend_from_slice(&snapshot.wgains);
-                heap_buf.extend_from_slice(&snapshot.heap_seed);
-            }
-            None => {
-                // Weighted gain init: one streaming pass like the
-                // unweighted histogram, adding each set's weight to all
-                // of its members.
-                scratch.wgain.resize(n as usize, 0.0);
-                accumulate_weighted_gains(self, node_weights, &mut scratch.wgain);
-                heap_buf.extend(
-                    (0..n)
-                        .filter(|&v| scratch.wgain[v as usize] > 0.0)
-                        .map(|v| (WeightOrd(scratch.wgain[v as usize]), v)),
-                );
-            }
-        }
-        let mut heap: BinaryHeap<(WeightOrd, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::with_capacity(k);
-        let mut marginal_gains = Vec::with_capacity(k);
-        let mut covered_weight = 0.0f64;
-
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            let g = scratch.wgain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(g);
-            covered_weight += g;
-            if g > 0.0 {
-                self.cover_sets_weighted(v, generation, node_weights, scratch);
-            }
-        }
-
-        while seeds.len() < k {
-            let Some((WeightOrd(g), v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let current = scratch.wgain[v as usize];
-            if g > current {
-                // Stale entry: re-key. Decrements of nonnegative weights
-                // can only lower a gain, so the max-heap stays sound.
-                if current > 0.0 {
-                    heap.push((WeightOrd(current), v));
-                }
-                continue;
-            }
-            if current <= 0.0 {
-                break; // only weightless coverage remains
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            seeds.push(v);
-            marginal_gains.push(current);
-            covered_weight += current;
-            self.cover_sets_weighted(v, generation, node_weights, scratch);
-        }
-
-        // Pad to k with arbitrary unselected nodes, weight gain 0 —
-        // mirrors the unweighted padding contract.
-        let mut next = 0u32;
-        while seeds.len() < k && next < n {
-            if scratch.selected_stamp[next as usize] != generation {
-                scratch.selected_stamp[next as usize] = generation;
-                seeds.push(next);
-                marginal_gains.push(0.0);
-            }
-            next += 1;
-        }
-
-        scratch.wheap_buf = heap.into_vec();
-        WeightedCoverageResult { seeds, covered_weight, marginal_gains }
-    }
-
-    /// Weighted twin of the decremental-update sweep: marks `v`'s
-    /// in-range sets covered and subtracts each set's weight from its
-    /// members' weighted gains.
-    fn cover_sets_weighted(
-        &self,
-        v: NodeId,
-        generation: u32,
-        node_weights: &[f64],
-        scratch: &mut GreedyScratch,
-    ) {
-        let range = self.range();
-        for id in self.pool().sets_containing_in(v, range.clone()) {
-            let slot = (id - range.start) as usize;
-            if scratch.covered_stamp[slot] == generation {
-                continue;
-            }
-            scratch.covered_stamp[slot] = generation;
-            let members = self.members(slot);
-            let Some(&root) = members.first() else { continue };
-            let w = node_weights[root as usize];
-            if w == 0.0 {
-                continue;
-            }
-            for &u in members {
-                scratch.wgain[u as usize] -= w;
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_coverage_range, max_coverage_with, RrCollection};
+    use crate::{
+        max_coverage_range, max_coverage_with, GreedyScratch, Objective, RrCollection, Selection,
+        SelectionResult, Start,
+    };
     use sns_diffusion::RrMeta;
+
+    fn weighted(w: &[f64], k: usize) -> Selection<'_> {
+        Selection { objective: Objective::Weighted(w), ..Selection::top_k(k) }
+    }
+
+    fn constrained<'a>(k: usize, forced: &'a [NodeId], excluded: &'a [NodeId]) -> Selection<'a> {
+        Selection { forced, excluded, ..Selection::top_k(k) }
+    }
+
+    /// A count selection's result in [`crate::CoverageResult`] units.
+    fn counts(r: SelectionResult) -> crate::CoverageResult {
+        crate::CoverageResult {
+            seeds: r.seeds,
+            covered: r.covered as u64,
+            marginal_gains: r.marginal_gains.iter().map(|&g| g as u64).collect(),
+        }
+    }
 
     fn m(root: NodeId) -> RrMeta {
         RrMeta { root, edges_examined: 0 }
@@ -542,7 +281,11 @@ mod tests {
                 let snap = GainSnapshot::build(&view);
                 assert_eq!(snap.range(), range);
                 for k in [1usize, 3, 7] {
-                    let frozen = view.select_from_snapshot(&snap, k, &mut scratch);
+                    let frozen = counts(view.select_with(
+                        &Selection::top_k(k),
+                        Start::Frozen(&snap),
+                        &mut scratch,
+                    ));
                     let fresh = view.select(k, &mut scratch);
                     assert_eq!(frozen, fresh, "seed {seed} range {range:?} k {k}");
                 }
@@ -556,19 +299,19 @@ mod tests {
         let view = CoverageView::build(&rc, 0..100);
         let snap = GainSnapshot::build(&view);
         let mut scratch = GreedyScratch::new();
-        let first = view.select_from_snapshot(&snap, 5, &mut scratch);
+        let top5 = Selection::top_k(5);
+        let first = view.select_with(&top5, Start::Frozen(&snap), &mut scratch);
         for _ in 0..5 {
-            assert_eq!(view.select_from_snapshot(&snap, 5, &mut scratch), first);
+            assert_eq!(view.select_with(&top5, Start::Frozen(&snap), &mut scratch), first);
         }
-        assert_eq!(first, max_coverage_range(&rc, 5, 0..100));
+        assert_eq!(counts(first), max_coverage_range(&rc, 5, 0..100));
         assert!(snap.memory_bytes() > 0);
     }
 
     /// Acceptance property: seeds selected through epoch-merged
     /// snapshots are bit-identical to direct `max_coverage` on the same
     /// pool state, across several epoch layouts (including unaligned
-    /// sub-ranges), both via a materialized [`GainSnapshot::merge`] and
-    /// via the query-time [`CoverageView::select_from_snapshots`] path.
+    /// sub-ranges), via a materialized [`GainSnapshot::merge`].
     #[test]
     fn epoch_merged_selection_is_bit_identical_across_layouts() {
         let mut scratch = GreedyScratch::new();
@@ -598,15 +341,12 @@ mod tests {
                 let view = merged.view(&rc);
                 for k in [1usize, 4, 9] {
                     let want = max_coverage_range(&rc, k, range.clone());
-                    let via_merged = view.select_from_snapshot(&merged, k, &mut scratch);
-                    assert_eq!(via_merged, want, "materialized merge, seed {seed} k {k}");
-                    let at_query_time = view.select_from_snapshots(
-                        &refs,
-                        k,
-                        &SeedConstraints::none(),
+                    let via_merged = view.select_with(
+                        &Selection::top_k(k),
+                        Start::Frozen(&merged),
                         &mut scratch,
                     );
-                    assert_eq!(at_query_time, want, "query-time merge, seed {seed} k {k}");
+                    assert_eq!(counts(via_merged), want, "materialized merge, seed {seed} k {k}");
                 }
             }
         }
@@ -646,28 +386,19 @@ mod tests {
             let w: Vec<f64> = (0..20).map(|_| f64::from(rng.gen_range(0..5u32)) / 2.0).collect();
             for range in [0..90u32, 10..70] {
                 let view = CoverageView::build(&rc, range.clone());
-                let snap = WeightedGainSnapshot::build(&view, &w);
+                let snap = GainSnapshot::weighted(&view, &w);
                 assert_eq!(snap.range(), range);
                 assert!(snap.memory_bytes() > 0);
                 let frozen_view = snap.view(&rc);
                 for k in [1usize, 4] {
-                    let fresh = view.select_weighted(k, &w, &SeedConstraints::none(), &mut scratch);
-                    let frozen = frozen_view.select_weighted_from_snapshot(
-                        &snap,
-                        k,
-                        &w,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
+                    let spec = weighted(&w, k);
+                    let fresh = view.select_with(&spec, Start::Fresh, &mut scratch);
+                    let frozen =
+                        frozen_view.select_with(&spec, Start::FrozenWeighted(&snap), &mut scratch);
                     assert_eq!(frozen, fresh, "seed {seed} range {range:?} k {k}");
                     // repeated frozen queries stay stable
-                    let again = frozen_view.select_weighted_from_snapshot(
-                        &snap,
-                        k,
-                        &w,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
+                    let again =
+                        frozen_view.select_with(&spec, Start::FrozenWeighted(&snap), &mut scratch);
                     assert_eq!(again, fresh);
                 }
             }
@@ -679,15 +410,9 @@ mod tests {
     fn weighted_snapshot_range_mismatch_panics() {
         let rc = random_pool(1, 10, 40);
         let w = vec![1.0f64; 10];
-        let snap = WeightedGainSnapshot::build(&CoverageView::build(&rc, 0..20), &w);
+        let snap = GainSnapshot::weighted(&CoverageView::build(&rc, 0..20), &w);
         let view = CoverageView::build(&rc, 0..40);
-        view.select_weighted_from_snapshot(
-            &snap,
-            2,
-            &w,
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        view.select_with(&weighted(&w, 2), Start::FrozenWeighted(&snap), &mut GreedyScratch::new());
     }
 
     #[test]
@@ -696,7 +421,7 @@ mod tests {
         let rc = random_pool(1, 10, 40);
         let snap = GainSnapshot::build(&CoverageView::build(&rc, 0..20));
         let view = CoverageView::build(&rc, 0..40);
-        view.select_from_snapshot(&snap, 2, &mut GreedyScratch::new());
+        view.select_with(&Selection::top_k(2), Start::Frozen(&snap), &mut GreedyScratch::new());
     }
 
     #[test]
@@ -705,16 +430,16 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4, 1]], 5);
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
-        let cons = SeedConstraints { forced: &[], excluded: &[0] };
-        let r = view.select_constrained(5, &cons, &mut scratch);
+        let cons = constrained(5, &[], &[0]);
+        let r = view.select_with(&cons, Start::Fresh, &mut scratch);
         assert!(!r.seeds.contains(&0), "excluded node selected: {:?}", r.seeds);
         assert_eq!(r.seeds.len(), 4, "padding must skip the excluded node");
         assert_eq!(r.seeds[0], 1, "with 0 excluded, node 1 covers most");
-        assert_eq!(r.marginal_gains[0], 2);
+        assert_eq!(r.marginal_gains[0], 2.0);
 
         // Same answer through the frozen path.
         let snap = GainSnapshot::build(&view);
-        let frozen = view.select_from_snapshot_constrained(&snap, 5, &cons, &mut scratch);
+        let frozen = view.select_with(&cons, Start::Frozen(&snap), &mut scratch);
         assert_eq!(frozen, r);
     }
 
@@ -723,16 +448,14 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[3], &[3, 1]], 4);
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
-        let cons = SeedConstraints { forced: &[1], excluded: &[] };
-        let r = view.select_constrained(2, &cons, &mut scratch);
+        let r = view.select_with(&constrained(2, &[1], &[]), Start::Fresh, &mut scratch);
         // forced first: node 1 covers sets {0, 3} (gain 2); best
         // remainder is node 0 with residual gain 1 (set 1).
         assert_eq!(r.seeds[0], 1);
-        assert_eq!(r.marginal_gains[0], 2);
-        assert_eq!(r.covered, 3);
+        assert_eq!(r.marginal_gains[0], 2.0);
+        assert_eq!(r.covered, 3.0);
         // duplicate forced seeds are selected once
-        let dup = SeedConstraints { forced: &[1, 1], excluded: &[] };
-        let r2 = view.select_constrained(2, &dup, &mut scratch);
+        let r2 = view.select_with(&constrained(2, &[1, 1], &[]), Start::Fresh, &mut scratch);
         assert_eq!(r2.seeds, r.seeds);
     }
 
@@ -742,8 +465,8 @@ mod tests {
         let view = CoverageView::build(&rc, 0..120);
         let mut scratch = GreedyScratch::new();
         let plain = view.select(6, &mut scratch);
-        let constrained = view.select_constrained(6, &SeedConstraints::none(), &mut scratch);
-        assert_eq!(plain, constrained);
+        let none = view.select_with(&constrained(6, &[], &[]), Start::Fresh, &mut scratch);
+        assert_eq!(plain, counts(none));
         assert_eq!(plain, max_coverage_with(&rc, 6, 0..120, &mut scratch));
     }
 
@@ -820,10 +543,10 @@ mod tests {
             for range in [0..90u32, 10..70] {
                 let view = CoverageView::build(&rc, range.clone());
                 for k in [1usize, 4] {
-                    let got = view.select_weighted(k, &w, &SeedConstraints::none(), &mut scratch);
+                    let got = view.select_with(&weighted(&w, k), Start::Fresh, &mut scratch);
                     let (want_seeds, want_total) = weighted_oracle(&rc, k, &w, range.clone());
                     assert_eq!(got.seeds, want_seeds, "seed {seed} range {range:?} k {k}");
-                    assert!((got.covered_weight - want_total).abs() < 1e-9);
+                    assert!((got.covered - want_total).abs() < 1e-9);
                 }
             }
         }
@@ -835,10 +558,10 @@ mod tests {
         let w = vec![1.0f64; 30];
         let mut scratch = GreedyScratch::new();
         let view = CoverageView::build(&rc, 0..200);
-        let weighted = view.select_weighted(5, &w, &SeedConstraints::none(), &mut scratch);
+        let by_weight = view.select_with(&weighted(&w, 5), Start::Fresh, &mut scratch);
         let plain = view.select(5, &mut scratch);
-        assert_eq!(weighted.seeds, plain.seeds);
-        assert!((weighted.covered_weight - plain.covered as f64).abs() < 1e-9);
+        assert_eq!(by_weight.seeds, plain.seeds);
+        assert!((by_weight.covered - plain.covered as f64).abs() < 1e-9);
     }
 
     #[test]
@@ -849,8 +572,8 @@ mod tests {
         let mut w = vec![1.0f64; 5];
         w[0] = 0.0;
         let view = CoverageView::build(&rc, 0..3);
-        let r = view.select_weighted(1, &w, &SeedConstraints::none(), &mut GreedyScratch::new());
+        let r = view.select_with(&weighted(&w, 1), Start::Fresh, &mut GreedyScratch::new());
         assert_eq!(r.seeds, vec![4], "ties on weight 1.0 break to the larger id");
-        assert!((r.covered_weight - 1.0).abs() < 1e-12);
+        assert!((r.covered - 1.0).abs() < 1e-12);
     }
 }

@@ -6,7 +6,9 @@
 //! budget, pinned hit/miss/evict counters).
 
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::rrset::{max_coverage_range, CoverageView, GreedyScratch, SeedConstraints};
+use stop_and_stare::rrset::{
+    max_coverage_range, CoverageView, GreedyScratch, Limit, Objective, Selection, Start,
+};
 use stop_and_stare::tvm::TargetWeights;
 use stop_and_stare::{Model, SamplingContext, SeedQuery, SeedQueryEngine};
 
@@ -54,26 +56,25 @@ fn every_batched_answer_is_bit_identical_to_direct_selection() {
         let range = query.range.clone().unwrap_or(0..pool_len);
         assert_eq!(answer.range, range);
         let view = CoverageView::build(pool, range.clone());
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        match &query.root_weights {
-            Some(w) => {
-                // direct = fresh per-call weighted selection, no snapshot
-                let direct = view.select_weighted(query.k, w, &constraints, &mut scratch);
-                assert_eq!(answer.seeds, direct.seeds, "weighted query {query:?}");
-                assert_eq!(answer.covered, direct.covered_weight);
-                assert_eq!(answer.marginal_gains, direct.marginal_gains);
-            }
-            None => {
-                // direct = fresh per-call histogram selection, no snapshot
-                let direct = view.select_constrained(query.k, &constraints, &mut scratch);
-                assert_eq!(answer.seeds, direct.seeds, "query {query:?}");
-                assert_eq!(answer.covered, direct.covered as f64);
-                if query.forced.is_empty() && query.excluded.is_empty() {
-                    // and for plain queries, = the public one-shot API
-                    let plain = max_coverage_range(pool, query.k, range.clone());
-                    assert_eq!(answer.seeds, plain.seeds);
-                }
-            }
+        let objective = match &query.root_weights {
+            Some(w) => Objective::Weighted(w),
+            None => Objective::Count,
+        };
+        let selection = Selection {
+            objective,
+            limit: Limit::TopK(query.k),
+            forced: &query.forced,
+            excluded: &query.excluded,
+        };
+        // direct = fresh per-call selection, no snapshot
+        let direct = view.select_with(&selection, Start::Fresh, &mut scratch);
+        assert_eq!(answer.seeds, direct.seeds, "query {query:?}");
+        assert_eq!(answer.covered, direct.covered);
+        assert_eq!(answer.marginal_gains, direct.marginal_gains);
+        if query.root_weights.is_none() && query.forced.is_empty() && query.excluded.is_empty() {
+            // and for plain queries, = the public one-shot API
+            let plain = max_coverage_range(pool, query.k, range.clone());
+            assert_eq!(answer.seeds, plain.seeds);
         }
     }
 }
