@@ -194,9 +194,9 @@ fn bench_grow_while_serving(c: &mut Criterion) {
     let g = support::ba_graph();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(3).with_threads(8);
     // Same 60k-set total as the frozen benches, reached in 4 epochs.
-    let mut engine = SeedQueryEngine::sample(&ctx, support::SETS / 2).with_threads(8);
+    let engine = SeedQueryEngine::sample(&ctx, support::SETS / 2).with_threads(8);
     for _ in 0..3 {
-        engine.extend(&ctx, support::SETS / 6);
+        engine.grower().extend(&ctx, support::SETS / 6);
         engine.answer(&SeedQuery::top_k(K)).expect("valid query");
     }
     let grown = engine.pool();

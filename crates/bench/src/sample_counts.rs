@@ -33,7 +33,7 @@ use sns_tvm::TargetWeights;
 pub fn serving_counters() -> Vec<(&'static str, u64)> {
     let g = gen::erdos_renyi(500, 3000, 11).build(WeightModel::WeightedCascade).unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(11);
-    let mut engine = SeedQueryEngine::sample(&ctx, 2000);
+    let engine = SeedQueryEngine::sample(&ctx, 2000);
     let topic = TargetWeights::synthetic_topic(&g, 0.1, 1.0, 7).expect("valid topic");
     for _ in 0..3 {
         engine.answer(&SeedQuery::top_k(20)).expect("valid query");
@@ -41,7 +41,7 @@ pub fn serving_counters() -> Vec<(&'static str, u64)> {
         engine.answer(&SeedQuery::top_k(10).over_range(0..1000)).expect("valid query");
         engine.answer(&topic.seed_query(10)).expect("valid query");
         engine.answer(&topic.seed_query(10)).expect("valid query");
-        engine.extend(&ctx, 1000);
+        engine.grower().extend(&ctx, 1000);
     }
     let QueryStats {
         snapshot_hits,
@@ -74,9 +74,9 @@ pub fn serving_counters() -> Vec<(&'static str, u64)> {
 pub fn store_counters() -> Vec<(&'static str, u64)> {
     let g = gen::erdos_renyi(300, 1800, 13).build(WeightModel::WeightedCascade).unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(13);
-    let mut engine = SeedQueryEngine::sample(&ctx, 250);
+    let engine = SeedQueryEngine::sample(&ctx, 250);
     for _ in 0..3 {
-        engine.extend(&ctx, 250);
+        engine.grower().extend(&ctx, 250);
     }
     let dir = std::env::temp_dir().join(format!("sns-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

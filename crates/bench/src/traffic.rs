@@ -4,7 +4,7 @@
 //! audience topics and pool slices absorb most queries — modeled by a
 //! Zipf topic distribution), *bursty* (arrival spikes far above the
 //! sustainable service rate), and *live* (the pool keeps growing via
-//! [`SeedQueryEngine::extend`] while queries are in flight). This module
+//! [`sns_core::Grower::extend`] while queries are in flight). This module
 //! replays exactly that shape against the real serving stack — the
 //! [`AdmissionQueue`] at the door, the batch
 //! planner behind it
@@ -33,10 +33,34 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sns_core::{AdmissionQueue, NodeCosts, Priority, SamplingContext, SeedQuery, SeedQueryEngine};
+use sns_core::{
+    AdmissionQueue, NodeCosts, Priority, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine,
+};
 use sns_diffusion::Model;
 use sns_graph::{gen, WeightModel};
+use sns_rrset::{CoverageView, GreedyScratch, RrCollection, Start};
 use sns_tvm::TargetWeights;
+
+/// The reference answer to `query` on `pool`: one fresh selection over
+/// the query's slice, with no engine, cache, snapshot or planner in
+/// between — what every served answer must equal bit for bit.
+pub fn direct_answer(pool: &RrCollection, gamma: f64, query: &SeedQuery) -> SeedAnswer {
+    let range = query.range.clone().unwrap_or_else(|| pool.id_range());
+    let r = CoverageView::build(pool, range.clone()).select_with(
+        &query.selection(),
+        Start::Fresh,
+        &mut GreedyScratch::new(),
+    );
+    let len = u64::from(range.end - range.start);
+    let influence = if len == 0 { 0.0 } else { gamma * r.covered / len as f64 };
+    SeedAnswer {
+        seeds: r.seeds,
+        covered: r.covered,
+        influence_estimate: influence,
+        marginal_gains: r.marginal_gains,
+        range,
+    }
+}
 
 /// A seeded traffic scenario: fixture sizes, arrival process, query
 /// mix, admission limits and growth schedule. Two simulations of an
@@ -78,14 +102,14 @@ pub struct TrafficConfig {
     pub deadline_share: f64,
     /// Grow the pool every `grow_every` steps (0 disables growth).
     pub grow_every: u32,
-    /// Sets added per growth ([`SeedQueryEngine::extend`]).
+    /// Sets added per growth ([`sns_core::Grower::extend`]).
     pub grow_sets: u64,
     /// Initial pool size (sets).
     pub pool_sets: u64,
     /// Engine worker threads (answers and counters are invariant to it).
     pub threads: usize,
-    /// Cross-check every planned batch against
-    /// [`SeedQueryEngine::answer_batch`] (slow; for tests).
+    /// Cross-check every served answer against [`direct_answer`] on the
+    /// pool it was answered from (slow; for tests).
     pub verify: bool,
 }
 
@@ -256,7 +280,7 @@ pub fn simulate(cfg: &TrafficConfig) -> TrafficReport {
     let ctx = SamplingContext::new(&g, Model::IndependentCascade)
         .with_seed(cfg.seed)
         .with_threads(cfg.threads);
-    let mut engine = SeedQueryEngine::sample(&ctx, cfg.pool_sets).with_threads(cfg.threads);
+    let engine = SeedQueryEngine::sample(&ctx, cfg.pool_sets).with_threads(cfg.threads);
     let topics: Vec<TargetWeights> = (0..cfg.topics)
         .map(|t| {
             TargetWeights::synthetic_topic(&g, 0.15, 1.0, cfg.seed ^ (t as u64 + 1))
@@ -285,7 +309,7 @@ pub fn simulate(cfg: &TrafficConfig) -> TrafficReport {
         // admitted before a growth keep their (still valid) ranges,
         // queries after it see — and group over — the larger pool.
         if cfg.grow_every > 0 && step > 0 && step % cfg.grow_every == 0 {
-            engine.extend(&ctx, cfg.grow_sets);
+            engine.grower().extend(&ctx, cfg.grow_sets);
             growths += 1;
         }
         let pool_len = engine.pool().id_range().end;
@@ -329,8 +353,11 @@ pub fn simulate(cfg: &TrafficConfig) -> TrafficReport {
         let per_query = (elapsed / batch.len() as u128) as u64;
         service_ns.extend(std::iter::repeat_n(per_query, batch.len()));
         if cfg.verify {
-            let unplanned = engine.answer_batch(&batch).expect("admitted queries are valid");
-            assert_eq!(answers, unplanned, "planned and unplanned answers diverged");
+            let pool = engine.pool();
+            for (query, answer) in batch.iter().zip(&answers) {
+                let direct = direct_answer(&pool, engine.gamma(), query);
+                assert_eq!(answer, &direct, "planned answer diverged from direct selection");
+            }
         }
         now = cursor;
     }
@@ -387,8 +414,9 @@ pub fn simulate(cfg: &TrafficConfig) -> TrafficReport {
 /// wall-clock race never leaks into `counters`.
 ///
 /// With `cfg.verify` every served `(query, answer)` pair is re-checked
-/// after drain-out against a reference engine sampled at the final size
-/// in one shot — the bit-identity acceptance of the concurrent path.
+/// after drain-out against [`direct_answer`] on a pool sampled at the
+/// final size in one shot — the bit-identity acceptance of the
+/// concurrent path.
 pub fn simulate_concurrent(cfg: &TrafficConfig) -> TrafficReport {
     use std::sync::mpsc;
 
@@ -506,13 +534,12 @@ pub fn simulate_concurrent(cfg: &TrafficConfig) -> TrafficReport {
 
     if cfg.verify {
         // Bit-identity acceptance: every answer served mid-growth equals
-        // the answer of an engine that sampled the final pool up front
-        // (same deterministic stream, one shot).
-        let reference =
-            SeedQueryEngine::sample(&ctx, engine.pool().len() as u64).with_threads(cfg.threads);
+        // a direct selection on the final pool sampled up front (same
+        // deterministic stream, one shot).
+        let reference = SeedQueryEngine::sample(&ctx, engine.pool().len() as u64).pool();
         for (query, answer) in &verified {
             assert_eq!(
-                &reference.answer(query).expect("served queries are valid"),
+                &direct_answer(&reference, ctx.gamma(), query),
                 answer,
                 "concurrently served answer diverged from the one-shot reference for {query:?}"
             );

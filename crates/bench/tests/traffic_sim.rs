@@ -103,8 +103,8 @@ fn planned_budgeted_answers_match_unplanned_under_traffic() {
 
 #[test]
 fn planned_answers_match_unplanned_under_traffic() {
-    // verify: true cross-checks every planned batch against
-    // answer_batch inside simulate(); a divergence panics there.
+    // verify: true cross-checks every planned answer against a direct
+    // selection on its pool inside simulate(); a divergence panics there.
     let cfg = TrafficConfig { steps: 12, verify: true, ..TrafficConfig::ci() };
     let report = simulate(&cfg);
     assert!(report.served > 0);
@@ -164,8 +164,8 @@ fn concurrent_scenario_counters_are_reproducible_and_thread_invariant() {
 fn concurrently_served_answers_match_the_one_shot_reference() {
     use sns_bench::traffic::simulate_concurrent;
     // verify: true re-checks every (query, answer) pair served while
-    // growth raced the serving loop against an engine that sampled the
-    // final pool size up front — the linearizability acceptance for the
+    // growth raced the serving loop against a direct selection on the
+    // final pool sampled up front — the linearizability acceptance for the
     // traffic path. A divergence panics inside simulate_concurrent.
     let cfg = TrafficConfig { steps: 14, verify: true, ..TrafficConfig::ci_concurrent() };
     let report = simulate_concurrent(&cfg);

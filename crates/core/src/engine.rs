@@ -9,10 +9,15 @@
 //! *this* target group" (per-query weighted universes via TVM root
 //! weights). [`SeedQueryEngine`] seals a pool, freezes initial-gain
 //! state in [`sns_rrset::GainSnapshot`]s, and answers [`SeedQuery`]
-//! batches thread-parallel with per-worker [`GreedyScratch`]es. Results
-//! are **bit-identical** to calling [`sns_rrset::max_coverage_range`]
-//! (or the constrained/weighted selection) directly, and batch answers
-//! are independent of thread count and batch composition.
+//! batches through one path: every entry point ([`SeedQueryEngine::answer`],
+//! [`SeedQueryEngine::answer_batch`], [`SeedQueryEngine::answer_planned`])
+//! plans the batch ([`BatchPlan`]), resolves each group's snapshot once,
+//! and runs each member's [`SeedQuery::selection`] through the one
+//! selection kernel ([`CoverageView::select_with`]), thread-parallel
+//! across groups with per-worker [`GreedyScratch`]es. Results are
+//! **bit-identical** to that selection run directly on a fresh view of
+//! the same pool slice, and independent of thread count and batch
+//! composition.
 //!
 //! # Epoch-incremental snapshots and the cache policy
 //!
@@ -21,7 +26,7 @@
 //! for ranges spanning several epochs — gain histograms sum, the heap
 //! seed is rebuilt from the merged histogram, and the merged result is
 //! cached per `(range, epoch signature)`. Because epoch boundaries are
-//! append-only, [`SeedQueryEngine::extend`]ing the pool invalidates
+//! append-only, growing the pool ([`Grower::extend`]) invalidates
 //! **nothing**: it freezes only the new epoch, and every previously
 //! cached snapshot keeps serving (a full-pool query after growth merges
 //! the old epochs with the one new snapshot instead of rebuilding from
@@ -71,7 +76,7 @@ use sns_rrset::{
 };
 
 use crate::cache::{CacheKey, CachedSnapshot, SnapshotCache};
-use crate::grower::{Grower, GrowerState, GrowthOutcome};
+use crate::grower::{Grower, GrowerState};
 use crate::planner::{BatchPlan, GroupKey, PlanGroup};
 use crate::{CoreError, RunResult, SamplingContext};
 
@@ -190,6 +195,21 @@ impl SeedQuery {
         self.costs = costs;
         self
     }
+
+    /// The greedy question this query asks, for
+    /// [`CoverageView::select_with`]: weighted when `root_weights` is
+    /// set, budgeted when `budget` is set.
+    pub fn selection(&self) -> Selection<'_> {
+        let objective = match &self.root_weights {
+            Some(weights) => Objective::Weighted(weights),
+            None => Objective::Count,
+        };
+        let limit = match self.budget {
+            Some(budget) => Limit::Budget(budget, &self.costs),
+            None => Limit::TopK(self.k),
+        };
+        Selection { objective, limit, forced: &self.forced, excluded: &self.excluded }
+    }
 }
 
 /// Answer to one [`SeedQuery`].
@@ -237,8 +257,10 @@ pub struct QueryStats {
     pub cached_bytes: u64,
     /// The configured cache byte budget.
     pub budget_bytes: u64,
-    /// Batches executed through the planner
-    /// ([`SeedQueryEngine::answer_planned`]).
+    /// Batches executed through the planner — every
+    /// [`SeedQueryEngine::answer`] (a one-query batch),
+    /// [`SeedQueryEngine::answer_batch`] and
+    /// [`SeedQueryEngine::answer_planned`] call.
     pub planned_batches: u64,
     /// Planner groups formed across all planned batches (one snapshot
     /// resolution each).
@@ -269,13 +291,14 @@ fn collect_answers(slots: Vec<OnceLock<SeedAnswer>>) -> Result<Vec<SeedAnswer>, 
 }
 
 thread_local! {
-    /// Selection scratch reused by [`SeedQueryEngine::answer`] — its
-    /// stamp/gain tables stay at high-water size instead of costing an
-    /// `O(n + range)` allocation-plus-zeroing per single query, which
-    /// would rival the very histogram work the snapshot path saves.
-    /// Thread-local rather than engine-owned so the single-query path
-    /// acquires no mutex. (`answer_batch` workers carry their own,
-    /// uncontended.)
+    /// Selection scratch reused by every single-worker batch (every
+    /// [`SeedQueryEngine::answer`], and small or single-threaded
+    /// batches) — its stamp/gain tables stay at high-water size instead
+    /// of costing an `O(n + range)` allocation-plus-zeroing per query,
+    /// which would rival the very histogram work the snapshot path
+    /// saves. Thread-local rather than engine-owned so the serving path
+    /// acquires no mutex. (Multi-worker batches give each worker its
+    /// own, uncontended.)
     static ANSWER_SCRATCH: RefCell<GreedyScratch> = RefCell::new(GreedyScratch::new());
 }
 
@@ -405,7 +428,7 @@ impl SeedQueryEngine {
     /// Persists the frozen pool to the store directory at `dir`
     /// ([`sns_rrset::PoolStore`]): checksummed per-epoch segments plus an
     /// atomically committed manifest carrying the engine's fingerprint.
-    /// Incremental — saving after [`SeedQueryEngine::extend`] writes only
+    /// Incremental — saving after [`Grower::extend`] writes only
     /// the new epochs. Requires a fingerprint, i.e. an engine built by
     /// [`SeedQueryEngine::sample`] or [`SeedQueryEngine::from_store`]
     /// (use [`sns_rrset::PoolStore::save`] directly to persist a foreign
@@ -438,7 +461,7 @@ impl SeedQueryEngine {
     /// Like [`SeedQueryEngine::from_store`], but recovers the longest
     /// valid epoch prefix when the store is damaged: the engine serves
     /// the verified sets immediately, and because sampling is
-    /// deterministic per index, `engine.extend(ctx, sets_lost)`
+    /// deterministic per index, `engine.grower().extend(ctx, sets_lost)`
     /// regenerates the lost tail bit-identically. Manifest damage and
     /// fingerprint mismatches are still hard errors.
     pub fn from_store_recovering(
@@ -461,8 +484,8 @@ impl SeedQueryEngine {
         Ok(engine)
     }
 
-    /// Sets the worker-thread budget for [`SeedQueryEngine::answer_batch`]
-    /// (answers never depend on it).
+    /// Sets the worker-thread budget for batch answering — workers run
+    /// plan groups in parallel (answers never depend on it).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -476,25 +499,6 @@ impl SeedQueryEngine {
     pub fn with_cache_budget(self, bytes: u64) -> Self {
         self.cache.set_budget(bytes);
         self
-    }
-
-    /// Grows the pool while serving: samples `additional` sets
-    /// (continuing the deterministic stream, so the result is
-    /// bit-identical to having sampled the final size up front), seals
-    /// them as **one new epoch**, and publishes the grown pool as the
-    /// next directory generation. Nothing cached is invalidated — epoch
-    /// boundaries are append-only, so every previously frozen snapshot
-    /// keeps serving its range, and the new epoch's snapshot is frozen
-    /// at publish time. This is the serving side of the SSA/D-SSA
-    /// doubling schedule: the pool keeps extending, queries keep
-    /// answering, and snapshot work stays proportional to the *growth*,
-    /// not the pool.
-    ///
-    /// Convenience for [`SeedQueryEngine::grower`]'s
-    /// [`Grower::extend`], which needs only `&self` — use the grower
-    /// directly to grow a shared engine while other threads answer.
-    pub fn extend(&mut self, ctx: &SamplingContext<'_>, additional: u64) -> GrowthOutcome {
-        self.grower().extend(ctx, additional)
     }
 
     /// The single-writer growth handle (see [`Grower`]). Needs only
@@ -537,31 +541,38 @@ impl SeedQueryEngine {
     }
 
     /// Answers one query against the currently published pool
-    /// generation (pinned with one atomic load — no locks on this
-    /// path), reusing a thread-local selection scratch. Per-range gain
-    /// snapshots are cached either way.
+    /// generation (pinned with one atomic load — no locks on this path)
+    /// as a one-query planned batch (see
+    /// [`SeedQueryEngine::answer_planned`]).
     pub fn answer(&self, query: &SeedQuery) -> Result<SeedAnswer, CoreError> {
-        let (_, pool) = self.directory.pin();
+        let (generation, pool) = self.directory.pin();
         self.validate(query, &pool)?;
-        ANSWER_SCRATCH.with(|cell| {
-            // Scratch state is generation-stamped and fully
-            // re-initialized per selection; a re-entrant borrow (answer
-            // called from within answer — impossible today) falls back
-            // to a fresh scratch rather than panicking on a serving
-            // path.
-            match cell.try_borrow_mut() {
-                Ok(mut scratch) => Ok(self.answer_validated(query, &pool, &mut scratch)),
-                Err(_) => Ok(self.answer_validated(query, &pool, &mut GreedyScratch::new())),
-            }
-        })
+        let mut answers = self.execute(std::slice::from_ref(query), generation, &pool)?;
+        answers.pop().ok_or(CoreError::Internal("a one-query batch returned no answer"))
     }
 
-    /// Answers a batch of heterogeneous queries, thread-parallel across
-    /// queries with per-worker scratches. `answers[i]` corresponds to
-    /// `queries[i]` and is bit-identical to answering sequentially (each
-    /// answer depends only on the frozen pool and its query). The whole
-    /// batch is validated before any work starts.
+    /// Answers a batch of heterogeneous queries — the same path as
+    /// [`SeedQueryEngine::answer_planned`]. `answers[i]` corresponds to
+    /// `queries[i]`; answers depend only on the pinned pool and the
+    /// query, never on the batch's composition or the thread count.
     pub fn answer_batch(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
+        self.answer_planned(queries)
+    }
+
+    /// Answers a batch through the batch planner: queries are grouped by
+    /// the snapshot they need ([`crate::planner::BatchPlan`] — the pool
+    /// range for plain and budgeted queries, `(range, topic)` for
+    /// topic-weighted ones) and each group resolves its snapshot
+    /// **exactly once**, shared by every member. Planning changes who
+    /// pays for a snapshot resolution, never the answer: each answer is
+    /// bit-identical to a direct [`CoverageView::select_with`] over the
+    /// same pool slice. Workers parallelize across *groups*, so the win
+    /// condition is skewed traffic — many queries over few distinct
+    /// (range, topic) keys — exactly what production batches look like.
+    /// The whole batch is pinned to one pool generation and validated
+    /// before any work starts; the plan's group and sharing counts are
+    /// recorded in [`QueryStats`].
+    pub fn answer_planned(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
         // An empty batch has nothing to validate, plan, or snapshot:
         // return without touching the cache or spawning workers.
         if queries.is_empty() {
@@ -570,82 +581,49 @@ impl SeedQueryEngine {
         // One pin for the whole batch: every member is validated and
         // answered against the same pool generation, so a batch racing
         // concurrent growth is equivalent to running entirely before or
-        // entirely after the publish.
-        let (_, pool) = self.directory.pin();
-        for (i, q) in queries.iter().enumerate() {
-            self.validate(q, &pool)
-                .map_err(|e| CoreError::InvalidParams(format!("query {i}: {e}")))?;
-        }
-        let workers = self.threads.min(queries.len()).max(1);
-        if workers == 1 {
-            let mut scratch = GreedyScratch::new();
-            return Ok(queries
-                .iter()
-                .map(|q| self.answer_validated(q, &pool, &mut scratch))
-                .collect());
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<SeedAnswer>> = queries.iter().map(|_| OnceLock::new()).collect();
-        let pool = &pool;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = GreedyScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(query) = queries.get(i) else { break };
-                        let answer = self.answer_validated(query, pool, &mut scratch);
-                        // `fetch_add` hands each index to exactly one
-                        // worker; a double set is impossible, and answers
-                        // are deterministic so it would be value-identical
-                        // anyway — no reason to panic on a serving path.
-                        if let Some(slot) = slots.get(i) {
-                            let _ = slot.set(answer);
-                        }
-                    }
-                });
-            }
-        });
-        collect_answers(slots)
-    }
-
-    /// Answers a batch through the batch planner: queries are grouped by
-    /// the snapshot they need ([`crate::planner::BatchPlan`] — the pool
-    /// range for plain queries, `(range, topic)` for topic-weighted
-    /// ones) and each group resolves its snapshot **exactly once**,
-    /// shared by every member. Answers are bit-identical to
-    /// [`SeedQueryEngine::answer_batch`] on the same input
-    /// (property-tested): planning changes who pays for a snapshot
-    /// resolution, never the answer. Workers parallelize across
-    /// *groups*, so the win condition is skewed traffic — many queries
-    /// over few distinct (range, topic) keys — exactly what production
-    /// batches look like. The plan's group and sharing counts are
-    /// recorded in [`QueryStats`].
-    pub fn answer_planned(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // One pin for the whole batch (see `answer_batch`); the plan is
-        // stamped with the pinned generation, making "which pool prefix
-        // answered this batch" auditable.
+        // entirely after the publish. The plan is stamped with the
+        // pinned generation, making "which pool prefix answered this
+        // batch" auditable.
         let (generation, pool) = self.directory.pin();
         for (i, q) in queries.iter().enumerate() {
             self.validate(q, &pool)
                 .map_err(|e| CoreError::InvalidParams(format!("query {i}: {e}")))?;
         }
+        self.execute(queries, generation, &pool)
+    }
+
+    /// Plans and answers a validated batch against one pinned pool. One
+    /// worker answers on the calling thread with its thread-local
+    /// scratch; more workers each carry their own.
+    fn execute(
+        &self,
+        queries: &[SeedQuery],
+        generation: u64,
+        pool: &RrCollection,
+    ) -> Result<Vec<SeedAnswer>, CoreError> {
         let plan = BatchPlan::build_for_generation(queries, pool.id_range().end, generation);
         self.cache.note_planned(plan.num_groups() as u64, plan.builds_saved());
         let groups = plan.groups();
         let slots: Vec<OnceLock<SeedAnswer>> = queries.iter().map(|_| OnceLock::new()).collect();
         let workers = self.threads.min(groups.len()).max(1);
         if workers == 1 {
-            let mut scratch = GreedyScratch::new();
-            for group in groups {
-                self.answer_group(queries, group, &pool, &mut scratch, &slots);
-            }
+            ANSWER_SCRATCH.with(|cell| {
+                // Scratch state is generation-stamped and fully
+                // re-initialized per selection; a re-entrant borrow
+                // (impossible today) falls back to a fresh scratch
+                // rather than panicking on a serving path.
+                let answer_all = |scratch: &mut GreedyScratch| {
+                    for group in groups {
+                        self.answer_group(queries, group, pool, scratch, &slots);
+                    }
+                };
+                match cell.try_borrow_mut() {
+                    Ok(mut scratch) => answer_all(&mut scratch),
+                    Err(_) => answer_all(&mut GreedyScratch::new()),
+                }
+            });
         } else {
             let next = AtomicUsize::new(0);
-            let pool = &pool;
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
@@ -663,10 +641,10 @@ impl SeedQueryEngine {
     }
 
     /// Executes one plan group: resolves the shared snapshot once, then
-    /// answers every member against it. Members of a topic group whose
+    /// answers every member from it. A member of a topic group whose
     /// weight vector is not the very `Arc` the group resolved with (a
-    /// same-topic-different-weights contract breach) fall back to the
-    /// per-query path — degraded sharing, never a wrong answer.
+    /// same-topic-different-weights contract breach) resolves its own
+    /// snapshot — degraded sharing, never a wrong answer.
     fn answer_group(
         &self,
         queries: &[SeedQuery],
@@ -682,6 +660,7 @@ impl SeedQueryEngine {
         // as `CoreError::Internal` when the answers are collected) and a
         // double set is ignored — answers are deterministic, so a second
         // set would be value-identical.
+        let members = group.members.iter().filter_map(|&i| Some((i, queries.get(i)?)));
         let set = |i: usize, answer: SeedAnswer| {
             if let Some(slot) = slots.get(i) {
                 let _ = slot.set(answer);
@@ -689,59 +668,47 @@ impl SeedQueryEngine {
         };
         match group.key {
             GroupKey::Plain { start, end } => {
+                // Budgeted queries are unweighted and group here too:
+                // snapshots are cost-agnostic.
                 let range = start..end;
                 let snapshot = self.snapshot_for(pool, &range);
-                // Budgeted queries are unweighted and group here too —
-                // same snapshot identity, different selection loop.
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    let answer = match query.budget {
-                        Some(budget) => self
-                            .answer_budgeted_with(query, budget, pool, &range, &snapshot, scratch),
-                        None => self.answer_plain_with(query, pool, &range, &snapshot, scratch),
-                    };
-                    set(i, answer);
+                let start = Start::Frozen(&snapshot);
+                for (i, query) in members {
+                    set(i, self.answer_with(query, pool, &range, start, scratch));
                 }
             }
             GroupKey::Topic { start, end, topic } => {
                 let range = start..end;
-                // Topic groups imply root weights (the planner only
-                // groups weighted queries under `Topic`); if that ever
-                // broke, fall back to the per-query path — degraded
-                // sharing, never a wrong answer or a panic.
+                // The group shares its first member's weight vector.
+                // The planner only groups weighted queries under `Topic`;
+                // a weightless member would still be answered correctly,
+                // just without a snapshot.
                 let shared = group
                     .members
                     .first()
-                    .and_then(|&first| queries.get(first))
-                    .and_then(|q| q.root_weights.as_ref());
-                let Some(shared) = shared else {
-                    for &i in &group.members {
-                        let Some(query) = queries.get(i) else { continue };
-                        set(i, self.answer_validated(query, pool, scratch));
-                    }
-                    return;
-                };
-                let snapshot = self.weighted_snapshot_for(pool, &range, topic, shared);
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    let same_arc =
-                        query.root_weights.as_ref().is_some_and(|w| Arc::ptr_eq(w, shared));
-                    if same_arc {
-                        set(
-                            i,
-                            self.answer_weighted_with(
-                                query, pool, &range, &snapshot, shared, scratch,
-                            ),
-                        );
-                    } else {
-                        set(i, self.answer_validated(query, pool, scratch));
-                    }
+                    .and_then(|&i| queries.get(i)?.root_weights.as_ref())
+                    .map(|w| (w, self.weighted_snapshot_for(pool, &range, topic, w)));
+                for (i, query) in members {
+                    let own;
+                    let start = match (&query.root_weights, &shared) {
+                        (Some(w), Some((sw, snap))) if Arc::ptr_eq(w, sw) => {
+                            Start::FrozenWeighted(snap)
+                        }
+                        (Some(w), _) => {
+                            own = self.weighted_snapshot_for(pool, &range, topic, w);
+                            Start::FrozenWeighted(&own)
+                        }
+                        (None, _) => Start::Fresh,
+                    };
+                    set(i, self.answer_with(query, pool, &range, start, scratch));
                 }
             }
             GroupKey::Solo { .. } => {
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    set(i, self.answer_validated(query, pool, scratch));
+                // A weighted query without a topic: one-off weights pay
+                // their own gain pass.
+                for (i, query) in members {
+                    let range = query.range.clone().unwrap_or_else(|| pool.id_range());
+                    set(i, self.answer_with(query, pool, &range, Start::Fresh, scratch));
                 }
             }
         }
@@ -782,20 +749,21 @@ impl SeedQueryEngine {
                     return err(format!("cost c({v}) = {bad} is not finite and positive"));
                 }
             }
-            // Distinct forced seeds must fit in the budget (duplicates
-            // are selected and charged once, matching the selection).
-            let mut forced_cost = 0.0f64;
+            // Forced seeds must fit in the budget, charged exactly as
+            // selection charges them: in order, duplicates once, each
+            // cost taken off what remains.
+            let mut remaining = budget;
             let mut charged: Vec<NodeId> = Vec::new();
             for &v in query.forced.iter().filter(|&&v| v < n) {
-                if !charged.contains(&v) {
-                    charged.push(v);
-                    forced_cost += query.costs.cost(v);
+                if charged.contains(&v) {
+                    continue;
                 }
-            }
-            if forced_cost > budget {
-                return err(format!(
-                    "forced seeds cost {forced_cost}, overrunning the budget {budget}"
-                ));
+                charged.push(v);
+                let c = query.costs.cost(v);
+                if c > remaining {
+                    return err(format!("forced seeds overrun the budget {budget} at node {v}"));
+                }
+                remaining -= c;
             }
         } else if matches!(query.costs, NodeCosts::PerNode(_)) {
             return err("per-node costs set without a budget".into());
@@ -829,144 +797,25 @@ impl SeedQueryEngine {
         Ok(())
     }
 
-    /// Answers a pre-validated query. Infallible and side-effect-free
-    /// modulo the snapshot cache — the invariant the parallel batch path
-    /// relies on.
-    fn answer_validated(
-        &self,
-        query: &SeedQuery,
-        pool: &RrCollection,
-        scratch: &mut GreedyScratch,
-    ) -> SeedAnswer {
-        let range = query.range.clone().unwrap_or_else(|| pool.id_range());
-        if let Some(budget) = query.budget {
-            // Budgeted queries are unweighted, so they share the plain
-            // snapshot cache — one frozen snapshot serves every
-            // (budget, costs) pair over the range.
-            let snapshot = self.snapshot_for(pool, &range);
-            return self.answer_budgeted_with(query, budget, pool, &range, &snapshot, scratch);
-        }
-        match (&query.root_weights, query.topic) {
-            (Some(weights), Some(topic)) => {
-                // Repeated-topic fast path: frozen weighted gains
-                // + frozen offsets, zero per-query init passes.
-                let snapshot = self.weighted_snapshot_for(pool, &range, topic, weights);
-                self.answer_weighted_with(query, pool, &range, &snapshot, weights, scratch)
-            }
-            (Some(weights), None) => {
-                let len = (range.end - range.start) as u64;
-                let selection = Selection {
-                    objective: Objective::Weighted(weights),
-                    limit: Limit::TopK(query.k),
-                    forced: &query.forced,
-                    excluded: &query.excluded,
-                };
-                let r = CoverageView::build(pool, range.clone()).select_with(
-                    &selection,
-                    Start::Fresh,
-                    scratch,
-                );
-                let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
-                SeedAnswer {
-                    seeds: r.seeds,
-                    covered: r.covered,
-                    influence_estimate: influence,
-                    marginal_gains: r.marginal_gains,
-                    range,
-                }
-            }
-            (None, _) => {
-                let snapshot = self.snapshot_for(pool, &range);
-                self.answer_plain_with(query, pool, &range, &snapshot, scratch)
-            }
-        }
-    }
-
-    /// Answers a pre-validated unweighted query against an
-    /// already-resolved plain snapshot of `range` — the shared tail of
-    /// the per-query path and the planner's group execution. The
-    /// snapshot lends its frozen offsets: a cache hit skips the
-    /// O(range_len) view rebase too.
-    fn answer_plain_with(
+    /// Answers a validated query over `range`, starting selection from
+    /// `start` — the one tail every answer goes through. A frozen
+    /// snapshot lends its offsets too, so a cache hit skips the
+    /// `O(range_len)` view rebase.
+    fn answer_with(
         &self,
         query: &SeedQuery,
         pool: &RrCollection,
         range: &Range<u32>,
-        snapshot: &GainSnapshot,
+        start: Start<'_>,
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
-        let len = (range.end - range.start) as u64;
-        let selection = Selection {
-            forced: &query.forced,
-            excluded: &query.excluded,
-            ..Selection::top_k(query.k)
+        let view = match start {
+            Start::Fresh => CoverageView::build(pool, range.clone()),
+            Start::Frozen(snapshot) => snapshot.view(pool),
+            Start::FrozenWeighted(snapshot) => snapshot.view(pool),
         };
-        let r = snapshot.view(pool).select_with(&selection, Start::Frozen(snapshot), scratch);
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
-        SeedAnswer {
-            seeds: r.seeds,
-            covered: r.covered,
-            influence_estimate: influence,
-            marginal_gains: r.marginal_gains,
-            range: range.clone(),
-        }
-    }
-
-    /// Answers a pre-validated budgeted query against an
-    /// already-resolved plain snapshot of `range`. Snapshots are
-    /// cost-agnostic, so budgeted queries ride the same cache entries
-    /// (and planner groups) as plain top-k queries; with uniform costs
-    /// and `budget = k` the answer is bit-identical to
-    /// [`SeedQueryEngine::answer`] on the cardinality query.
-    fn answer_budgeted_with(
-        &self,
-        query: &SeedQuery,
-        budget: f64,
-        pool: &RrCollection,
-        range: &Range<u32>,
-        snapshot: &GainSnapshot,
-        scratch: &mut GreedyScratch,
-    ) -> SeedAnswer {
+        let r = view.select_with(&query.selection(), start, scratch);
         let len = (range.end - range.start) as u64;
-        let selection = Selection {
-            objective: Objective::Count,
-            limit: Limit::Budget(budget, &query.costs),
-            forced: &query.forced,
-            excluded: &query.excluded,
-        };
-        let r = snapshot.view(pool).select_with(&selection, Start::Frozen(snapshot), scratch);
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
-        SeedAnswer {
-            seeds: r.seeds,
-            covered: r.covered,
-            influence_estimate: influence,
-            marginal_gains: r.marginal_gains,
-            range: range.clone(),
-        }
-    }
-
-    /// Answers a pre-validated topic-weighted query against an
-    /// already-resolved weighted snapshot of `range`. `weights` must be
-    /// the very vector the snapshot was resolved with (the callers
-    /// guarantee it by `Arc` identity).
-    fn answer_weighted_with(
-        &self,
-        query: &SeedQuery,
-        pool: &RrCollection,
-        range: &Range<u32>,
-        snapshot: &GainSnapshot<f64>,
-        weights: &Arc<[f64]>,
-        scratch: &mut GreedyScratch,
-    ) -> SeedAnswer {
-        let len = (range.end - range.start) as u64;
-        let selection = Selection {
-            objective: Objective::Weighted(weights),
-            limit: Limit::TopK(query.k),
-            forced: &query.forced,
-            excluded: &query.excluded,
-        };
-        let r =
-            snapshot.view(pool).select_with(&selection, Start::FrozenWeighted(snapshot), scratch);
         let influence = if len == 0 { 0.0 } else { self.gamma * r.covered / len as f64 };
         SeedAnswer {
             seeds: r.seeds,
@@ -1132,6 +981,21 @@ mod tests {
         Selection { limit: Limit::Budget(budget, costs), ..Selection::top_k(0) }
     }
 
+    /// Every answer equals a direct fresh selection over its slice.
+    fn assert_direct(e: &SeedQueryEngine, batch: &[SeedQuery], answers: &[SeedAnswer]) {
+        let pool = e.pool();
+        let mut scratch = GreedyScratch::new();
+        for (q, a) in batch.iter().zip(answers) {
+            let range = q.range.clone().unwrap_or_else(|| pool.id_range());
+            let view = CoverageView::build(&pool, range.clone());
+            let direct = view.select_with(&q.selection(), Start::Fresh, &mut scratch);
+            assert_eq!(a.seeds, direct.seeds, "{q:?}");
+            assert_eq!(a.covered, direct.covered, "{q:?}");
+            assert_eq!(a.marginal_gains, direct.marginal_gains, "{q:?}");
+            assert_eq!(a.range, range);
+        }
+    }
+
     fn engine(sets: u64, seed: u64) -> SeedQueryEngine {
         let g = gen::erdos_renyi(300, 1800, seed).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
@@ -1195,11 +1059,11 @@ mod tests {
     fn growing_the_pool_freezes_only_the_new_epoch() {
         let g = gen::erdos_renyi(300, 1800, 8).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(8);
-        let mut e = SeedQueryEngine::sample(&ctx, 1000);
+        let e = SeedQueryEngine::sample(&ctx, 1000);
         assert_eq!(e.pool().epoch_boundaries(), &[1000]);
         let old_epoch = e.answer(&SeedQuery::top_k(4).over_range(0..1000)).unwrap();
 
-        e.extend(&ctx, 500);
+        e.grower().extend(&ctx, 500);
         assert_eq!(e.pool().epoch_boundaries(), &[1000, 1500], "one new epoch, old one intact");
         // the grown pool is bit-identical to sampling 1500 up front
         let oneshot = SeedQueryEngine::sample(&ctx, 1500);
@@ -1247,26 +1111,21 @@ mod tests {
             SeedQuery::top_k(1).over_range(0..1000),
             SeedQuery::top_k(8).over_range(500..1500),
         ];
-        let unplanned = e.answer_batch(&batch).unwrap();
-        let after_unplanned = e.stats();
-        assert_eq!(
-            (after_unplanned.snapshot_hits, after_unplanned.snapshot_misses),
-            (6, 3),
-            "unplanned: every query pays its own lookup"
-        );
         let planned = e.answer_planned(&batch).unwrap();
-        assert_eq!(planned, unplanned);
         let s = e.stats();
         assert_eq!(s.planned_batches, 1);
         assert_eq!(s.planner_groups, 3);
         assert_eq!(s.planner_builds_saved, 6, "9 queries over 3 shared snapshots");
-        // the planned pass resolved each snapshot once: 3 lookups total
-        // (all hits — the unplanned pass populated the cache), not 9
-        assert_eq!(s.snapshot_hits - after_unplanned.snapshot_hits, 3, "{s:?}");
-        assert_eq!(s.snapshot_misses, after_unplanned.snapshot_misses);
+        // each snapshot was resolved once: 3 cold lookups, not 9
+        assert_eq!((s.snapshot_hits, s.snapshot_misses), (0, 3), "{s:?}");
+        // answer_batch is the same planned path: 3 more lookups, all hits
+        assert_eq!(e.answer_batch(&batch).unwrap(), planned);
+        let s = e.stats();
+        assert_eq!((s.snapshot_hits, s.snapshot_misses, s.planned_batches), (3, 3, 2), "{s:?}");
+        assert_direct(&e, &batch, &planned);
         // planned execution is thread-invariant too
         let planned4 = engine(2000, 20).with_threads(4).answer_planned(&batch).unwrap();
-        assert_eq!(planned4, unplanned);
+        assert_eq!(planned4, planned);
     }
 
     #[test]
@@ -1284,14 +1143,16 @@ mod tests {
             SeedQuery::top_k(4).with_root_weights(weights.clone()),
         ];
         let planned = e.answer_planned(&batch).unwrap();
-        let unplanned = e.answer_batch(&batch).unwrap();
-        assert_eq!(planned, unplanned);
-        assert_eq!(planned[1], e.answer(&batch[1]).unwrap());
         let s = e.stats();
         // groups: {topic 5} ×3 members + solo — builds saved only counts
         // the shareable group's extra members
         assert_eq!(s.planner_groups, 2);
         assert_eq!(s.planner_builds_saved, 2);
+        // the shared snapshot plus the breaching member's own
+        assert_eq!((s.weighted_hits, s.weighted_misses), (0, 2), "{s:?}");
+        assert_direct(&e, &batch, &planned);
+        assert_eq!(e.answer_batch(&batch).unwrap(), planned);
+        assert_eq!(planned[1], e.answer(&batch[1]).unwrap());
     }
 
     #[test]
@@ -1369,6 +1230,14 @@ mod tests {
         assert!(e.answer(&SeedQuery::budgeted(1.5).with_forced(vec![1, 2])).is_err());
         // ...but duplicates are charged once, like selection charges them
         assert!(e.answer(&SeedQuery::budgeted(1.5).with_forced(vec![1, 1])).is_ok());
+        // ...and in selection's order and arithmetic: these three costs
+        // sum to the budget, yet charging them one by one leaves less
+        // than the last cost, which selection would refuse
+        let tight = NodeCosts::per_node(
+            (0..300).map(|v| [1.0, 1.2, 1.41, 1.5][v.min(3)]).collect::<Vec<_>>().into(),
+        );
+        let q = SeedQuery::budgeted(1.2 + 1.41 + 1.5).with_costs(tight).with_forced(vec![1, 2, 3]);
+        assert!(e.answer(&q).is_err());
         // well-formed budgeted queries pass
         assert!(e.answer(&SeedQuery::budgeted(3.0).with_costs(costs)).is_ok());
     }
@@ -1441,20 +1310,19 @@ mod tests {
             SeedQuery::top_k(5).over_range(0..1000),
             SeedQuery::budgeted(2.5).with_costs(NodeCosts::per_node(costs)),
         ];
-        let unplanned = e.answer_batch(&batch).unwrap();
         let planned = e.answer_planned(&batch).unwrap();
-        assert_eq!(planned, unplanned);
-        for (q, a) in batch.iter().zip(&planned) {
-            assert_eq!(a, &e.answer(q).unwrap(), "planned ≡ per-query");
-        }
         let s = e.stats();
         // budgeted queries share the plain snapshot groups: full range
         // {0, 1, 4} and 0..1000 {2, 3} — two groups, three builds saved
         assert_eq!(s.planner_groups, 2);
         assert_eq!(s.planner_builds_saved, 3);
+        assert_direct(&e, &batch, &planned);
+        for (q, a) in batch.iter().zip(&planned) {
+            assert_eq!(a, &e.answer(q).unwrap(), "planned ≡ one-query batches");
+        }
         // planned execution is thread-invariant
         let planned4 = engine(2000, 32).with_threads(4).answer_planned(&batch).unwrap();
-        assert_eq!(planned4, unplanned);
+        assert_eq!(planned4, planned);
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1487,11 +1355,11 @@ mod tests {
         assert_eq!(e.answer(&SeedQuery::top_k(3)).unwrap(), baseline);
         assert!(e.answer_batch(&[SeedQuery::top_k(2), SeedQuery::top_k(4)]).is_ok());
         let _ = e.stats();
-        let mut e = e.with_cache_budget(1 << 20);
+        let e = e.with_cache_budget(1 << 20);
         assert_eq!(e.answer(&SeedQuery::top_k(3)).unwrap(), baseline);
         // growth recovers the poisoned writer mutex too: the directory
         // and sample cursor were only mutated after fallible work
-        let grown = e.extend(&ctx, 100);
+        let grown = e.grower().extend(&ctx, 100);
         assert_eq!(grown.seal().epoch(), Some(600..700));
         assert_eq!(grown.pool_len(), 700);
         assert_eq!(e.generation(), 1);
@@ -1501,15 +1369,15 @@ mod tests {
     fn grower_reports_seal_outcome_and_generation() {
         let g = gen::erdos_renyi(300, 1800, 40).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(40);
-        let mut e = SeedQueryEngine::sample(&ctx, 500);
+        let e = SeedQueryEngine::sample(&ctx, 500);
         assert_eq!(e.generation(), 0);
-        let grown = e.extend(&ctx, 250);
+        let grown = e.grower().extend(&ctx, 250);
         assert_eq!(grown.generation(), 1);
         assert_eq!(grown.seal().epoch(), Some(500..750));
         assert_eq!(grown.pool_len(), 750);
         assert_eq!(e.generation(), 1);
         // nothing pending: no epoch sealed, no generation churn
-        let noop = e.extend(&ctx, 0);
+        let noop = e.grower().extend(&ctx, 0);
         assert_eq!(noop.seal().epoch(), None);
         assert_eq!(noop.generation(), 1);
         assert_eq!(noop.pool_len(), 750);
@@ -1588,21 +1456,21 @@ mod tests {
     fn extend_then_save_appends_only_new_epochs() {
         let g = gen::erdos_renyi(300, 1800, 14).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(22);
-        let mut e = SeedQueryEngine::sample(&ctx, 800);
+        let e = SeedQueryEngine::sample(&ctx, 800);
         let dir = temp_dir("extend");
         e.save(&dir).unwrap();
-        e.extend(&ctx, 400);
+        e.grower().extend(&ctx, 400);
         let stats = e.save(&dir).unwrap();
         assert_eq!((stats.epochs_reused, stats.epochs_written), (1, 1));
 
-        let mut served = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
+        let served = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
         assert_eq!(served.pool().epoch_boundaries(), e.pool().epoch_boundaries());
         assert_eq!(
             served.answer(&SeedQuery::top_k(5)).unwrap(),
             e.answer(&SeedQuery::top_k(5)).unwrap()
         );
         // the loaded engine continues the deterministic sample stream
-        served.extend(&ctx, 300);
+        served.grower().extend(&ctx, 300);
         let oneshot = SeedQueryEngine::sample(&ctx, 1500);
         assert_eq!(
             served.answer(&SeedQuery::top_k(5)).unwrap(),
@@ -1615,14 +1483,14 @@ mod tests {
     fn recovered_prefix_plus_extend_reproduces_the_pool() {
         let g = gen::erdos_renyi(300, 1800, 18).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(25);
-        let mut e = SeedQueryEngine::sample(&ctx, 500);
-        e.extend(&ctx, 500); // two epochs on disk
+        let e = SeedQueryEngine::sample(&ctx, 500);
+        e.grower().extend(&ctx, 500); // two epochs on disk
         let dir = temp_dir("recover");
         e.save(&dir).unwrap();
         std::fs::remove_file(dir.join("epoch-00001.rr")).unwrap();
 
         assert!(matches!(SeedQueryEngine::from_store(&dir, &ctx), Err(CoreError::Store(_))));
-        let (mut rec, recovery) = SeedQueryEngine::from_store_recovering(&dir, &ctx).unwrap();
+        let (rec, recovery) = SeedQueryEngine::from_store_recovering(&dir, &ctx).unwrap();
         let Recovery::Recovered { epochs_lost, sets_lost } = recovery else {
             panic!("expected a recovery, got {recovery:?}")
         };
@@ -1634,7 +1502,7 @@ mod tests {
             prefix.answer(&SeedQuery::top_k(4)).unwrap()
         );
         // resampling exactly the lost tail restores the full pool
-        rec.extend(&ctx, sets_lost);
+        rec.grower().extend(&ctx, sets_lost);
         assert_eq!(
             rec.answer(&SeedQuery::top_k(4)).unwrap(),
             e.answer(&SeedQuery::top_k(4)).unwrap()

@@ -14,9 +14,9 @@
 //!   member of a group. The engine's LRU cache already makes repeated
 //!   *hits* cheap; planning makes *misses* shared: a cold 64-query batch
 //!   over 4 distinct ranges builds 4 snapshots, not up to 64 racing
-//!   ones. [`SeedQueryEngine::answer_planned`](crate::SeedQueryEngine::answer_planned)
-//!   executes a plan bit-identically to
-//!   [`answer_batch`](crate::SeedQueryEngine::answer_batch).
+//!   ones. Every engine entry point executes through a plan
+//!   ([`SeedQueryEngine::answer_planned`](crate::SeedQueryEngine::answer_planned));
+//!   planning changes who pays for a snapshot, never an answer.
 //! * **[`AdmissionQueue`]** bounds how much work may wait. Every query
 //!   is admitted with a [`Priority`] and an optional deadline on a
 //!   **virtual clock** measured in deterministic cost units

@@ -65,8 +65,8 @@ fn main() {
 
     // 3. Grow: extend the pool, save again — old epochs are reused on
     //    disk, only the new one is written.
-    let mut served = served;
-    served.extend(&ctx, served.pool().len() as u64 / 2);
+    let served = served;
+    served.grower().extend(&ctx, served.pool().len() as u64 / 2);
     let stats = served.save(&dir).expect("incremental save");
     println!(
         "extended to {} sets: {} epochs reused, {} written",

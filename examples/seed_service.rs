@@ -82,9 +82,9 @@ fn main() {
     //    seals one new epoch; nothing cached is invalidated, and the
     //    next full-pool query merges the frozen per-epoch snapshots
     //    instead of rebuilding from scratch.
-    let mut engine = engine;
+    let engine = engine;
     for _ in 0..2 {
-        engine.extend(&ctx, sizing.rr_sets_main / 2);
+        engine.grower().extend(&ctx, sizing.rr_sets_main / 2);
         let refreshed = engine.answer(&SeedQuery::top_k(25)).expect("valid query");
         println!(
             "extended to {} sets ({} epochs): top-25 Î = {:.1}",

@@ -33,9 +33,9 @@ fn engines() -> &'static Vec<(String, SeedQueryEngine, SeedQueryEngine)> {
             .map(|&epochs| {
                 let build = |threads: usize| {
                     let per = POOL_SETS / epochs;
-                    let mut e = SeedQueryEngine::sample(&ctx, per).with_threads(threads);
+                    let e = SeedQueryEngine::sample(&ctx, per).with_threads(threads);
                     for _ in 1..epochs {
-                        e.extend(&ctx, per);
+                        e.grower().extend(&ctx, per);
                     }
                     e
                 };

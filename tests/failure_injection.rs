@@ -210,9 +210,9 @@ mod store_faults {
         let g = small_graph();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(33);
 
-        let mut baked = SeedQueryEngine::sample(&ctx, 300);
-        baked.extend(&ctx, 200);
-        baked.extend(&ctx, 100);
+        let baked = SeedQueryEngine::sample(&ctx, 300);
+        baked.grower().extend(&ctx, 200);
+        baked.grower().extend(&ctx, 100);
         assert_eq!(baked.pool().epoch_boundaries(), &[300, 500, 600]);
 
         let pristine = scratch("pristine");
@@ -387,7 +387,7 @@ mod store_faults {
     fn stale_temp_files_are_ignored() {
         let g = small_graph();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(9);
-        let mut engine = SeedQueryEngine::sample(&ctx, 250);
+        let engine = SeedQueryEngine::sample(&ctx, 250);
         let dir = scratch("stale-tmp");
         engine.save(&dir).unwrap();
 
@@ -399,7 +399,7 @@ mod store_faults {
         assert_eq!(loaded.answer(&probe).unwrap(), engine.answer(&probe).unwrap());
 
         // The next commit cycle overwrites the stale temps without error.
-        engine.extend(&ctx, 150);
+        engine.grower().extend(&ctx, 150);
         engine.save(&dir).unwrap();
         let reloaded = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
         assert_eq!(reloaded.answer(&probe).unwrap(), engine.answer(&probe).unwrap());
@@ -422,9 +422,9 @@ mod store_faults {
         let layouts: [&[u64]; 5] =
             [&[600], &[300, 300], &[300, 200, 100], &[150, 150, 150, 150], &[450, 50, 50, 50]];
         for (i, layout) in layouts.iter().enumerate() {
-            let mut live = SeedQueryEngine::sample(&ctx, layout[0]);
+            let live = SeedQueryEngine::sample(&ctx, layout[0]);
             for &count in &layout[1..] {
-                live.extend(&ctx, count);
+                live.grower().extend(&ctx, count);
             }
             let dir = scratch(&format!("layout-{i}"));
             live.save(&dir).unwrap();
@@ -455,21 +455,21 @@ mod store_faults {
                 .unwrap();
             let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
 
-            let mut live = SeedQueryEngine::sample(&ctx, epochs[0]);
+            let live = SeedQueryEngine::sample(&ctx, epochs[0]);
             for &count in &epochs[1..] {
-                live.extend(&ctx, count);
+                live.grower().extend(&ctx, count);
             }
             let dir = scratch(&format!("prop-{seed}-{}-{extra}", epochs.len()));
             let first = live.save(&dir).unwrap();
 
             let probe = SeedQuery::top_k(4);
-            let mut reloaded = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
+            let reloaded = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
             prop_assert_eq!(live.answer(&probe).unwrap(), reloaded.answer(&probe).unwrap());
 
             // Grow the *reloaded* engine and append-save: the incremental
             // path must reuse every epoch of the first commit verbatim.
-            reloaded.extend(&ctx, extra);
-            live.extend(&ctx, extra);
+            reloaded.grower().extend(&ctx, extra);
+            live.grower().extend(&ctx, extra);
             let second = reloaded.save(&dir).unwrap();
             prop_assert_eq!(second.epochs_reused, first.epochs_written);
             prop_assert!(second.epochs_written >= 1);

@@ -1,6 +1,8 @@
 //! Property test for the batch planner: planned/grouped execution is
-//! **bit-identical** to the per-query `answer_batch` path — across epoch
-//! layouts, shuffled batch orders, and worker thread counts.
+//! **bit-identical** to a direct per-query selection over the same pool
+//! slice (`CoverageView::build(pool, range).select_with(..)`, no engine
+//! cache) — across epoch layouts, shuffled batch orders, and worker
+//! thread counts.
 //!
 //! The planner's whole contract is that it only changes *who pays* for
 //! snapshot resolution, never the answers. This test generates random
@@ -18,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::{Model, NodeCosts, SamplingContext, SeedQuery, SeedQueryEngine};
+use stop_and_stare::rrset::{CoverageView, GreedyScratch, RrCollection, Start};
+use stop_and_stare::{Model, NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine};
 
 const POOL_SETS: u64 = 2400;
 
@@ -36,9 +39,9 @@ fn engines() -> &'static Vec<(String, SeedQueryEngine, SeedQueryEngine)> {
             .map(|&epochs| {
                 let build = |threads: usize| {
                     let per = POOL_SETS / epochs;
-                    let mut e = SeedQueryEngine::sample(&ctx, per).with_threads(threads);
+                    let e = SeedQueryEngine::sample(&ctx, per).with_threads(threads);
                     for _ in 1..epochs {
-                        e.extend(&ctx, per);
+                        e.grower().extend(&ctx, per);
                     }
                     assert_eq!(e.pool().len() as u64, POOL_SETS);
                     assert_eq!(e.pool().epoch_boundaries().len() as u64, epochs);
@@ -100,6 +103,29 @@ fn decode(k: usize, range_pick: u32, flavor: u32) -> SeedQuery {
     }
 }
 
+/// The reference: each query answered by one fresh selection over its
+/// slice of `pool`, with Γ = n.
+fn direct(pool: &RrCollection, batch: &[SeedQuery]) -> Vec<SeedAnswer> {
+    let mut scratch = GreedyScratch::new();
+    batch
+        .iter()
+        .map(|q| {
+            let range = q.range.clone().unwrap_or_else(|| pool.id_range());
+            let view = CoverageView::build(pool, range.clone());
+            let r = view.select_with(&q.selection(), Start::Fresh, &mut scratch);
+            let len = f64::from(range.end - range.start);
+            let gamma = f64::from(pool.num_nodes());
+            SeedAnswer {
+                seeds: r.seeds,
+                covered: r.covered,
+                influence_estimate: if len == 0.0 { 0.0 } else { gamma * r.covered / len },
+                marginal_gains: r.marginal_gains,
+                range,
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -112,21 +138,21 @@ proptest! {
             specs.iter().map(|&(k, r, f)| decode(k, r, f)).collect();
         batch.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
 
-        // Reference: the per-query path on the single-epoch engine.
-        let reference = engines()[0].1.answer_batch(&batch).unwrap();
+        // Reference: direct selection on the (layout-independent) pool.
+        let reference = direct(&engines()[0].1.pool(), &batch);
         for (layout, single, threaded) in engines() {
             for (threads, engine) in [("1 thread", single), ("4 threads", threaded)] {
                 prop_assert_eq!(
                     &engine.answer_planned(&batch).unwrap(),
                     &reference,
-                    "planned != per-query on {} at {}",
+                    "planned != direct selection on {} at {}",
                     layout,
                     threads
                 );
                 prop_assert_eq!(
                     &engine.answer_batch(&batch).unwrap(),
                     &reference,
-                    "per-query path drifted on {} at {}",
+                    "answer_batch drifted on {} at {}",
                     layout,
                     threads
                 );

@@ -128,11 +128,11 @@ fn epoch_merged_answers_survive_repeated_growth() {
         .build(WeightModel::WeightedCascade)
         .unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(23);
-    let mut engine = SeedQueryEngine::sample(&ctx, 1500);
+    let engine = SeedQueryEngine::sample(&ctx, 1500);
     let epoch0 = engine.answer(&SeedQuery::top_k(6).over_range(0..1500)).unwrap();
 
     for step in 1..=3u32 {
-        engine.extend(&ctx, 1500);
+        engine.grower().extend(&ctx, 1500);
         let len = engine.pool().len() as u32;
         assert_eq!(len, 1500 * (step + 1));
         assert_eq!(engine.pool().epoch_boundaries().len(), (step + 1) as usize);
