@@ -71,7 +71,7 @@ impl Imm {
             / (eps_prime * eps_prime);
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut sampler = ctx.sampler(0);
+        let sampler = ctx.sampler(0);
         // Selection scratch shared by every LB-guess round and phase 2.
         let mut cover_scratch = GreedyScratch::new();
         let mut peak_bytes = 0u64;
@@ -85,11 +85,7 @@ impl Imm {
             let theta_i = (lambda_prime / x).ceil() as u64;
             let have = pool.len() as u64;
             if theta_i > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&sampler, have, theta_i - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut sampler, have, theta_i - have);
-                }
+                pool.extend_parallel(&sampler, have, theta_i - have, ctx.threads());
             }
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             let cover = max_coverage_with(&pool, k, pool.id_range(), &mut cover_scratch);
@@ -107,11 +103,7 @@ impl Imm {
         let theta = (lambda_star / lb).ceil() as u64;
         let have = pool.len() as u64;
         if theta > have {
-            if ctx.threads() > 1 {
-                pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
-            } else {
-                pool.extend_sequential(&mut sampler, have, theta - have);
-            }
+            pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;

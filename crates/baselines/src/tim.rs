@@ -140,11 +140,7 @@ impl Tim {
         let theta = (lambda / kpt).ceil() as u64;
         let have = pool.len() as u64;
         if theta > have {
-            if ctx.threads() > 1 {
-                pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
-            } else {
-                pool.extend_sequential(&mut sampler, have, theta - have);
-            }
+            pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;

@@ -132,7 +132,7 @@ impl Dssa {
         let cap_sets = (n_max.ceil() as u64).max(2) & !1;
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut sampler = ctx.sampler(0);
+        let sampler = ctx.sampler(0);
         // One selection scratch for the whole run: the per-round coverage
         // view's gain/heap/stamp buffers stay at high-water capacity.
         let mut cover_scratch = GreedyScratch::new();
@@ -149,11 +149,7 @@ impl Dssa {
             let half = full / 2;
             let have = pool.len() as u64;
             if full > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&sampler, have, full - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut sampler, have, full - have);
-                }
+                pool.extend_parallel(&sampler, have, full - have, ctx.threads());
             }
             peak_bytes = peak_bytes.max(pool.memory_bytes());
 

@@ -361,12 +361,7 @@ impl SeedQueryEngine {
     /// then answer every follow-up question from the frozen samples.
     pub fn sample(ctx: &SamplingContext<'_>, count: u64) -> Self {
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        if ctx.threads() > 1 {
-            pool.extend_parallel(&ctx.sampler(0), 0, count, ctx.threads());
-        } else {
-            let mut sampler = ctx.sampler(0);
-            pool.extend_sequential(&mut sampler, 0, count);
-        }
+        pool.extend_parallel(&ctx.sampler(0), 0, count, ctx.threads());
         let mut engine = Self::from_pool(pool, ctx.gamma()).with_threads(ctx.threads());
         engine.fingerprint = Some(Self::context_fingerprint(ctx));
         engine

@@ -109,12 +109,7 @@ impl<'e> Grower<'e> {
         let bounds_before = pool.epoch_boundaries().len();
         let from = state.next_sample_index;
         let threads = self.engine.threads;
-        if threads > 1 {
-            pool.extend_parallel(&ctx.sampler(0), from, additional, threads);
-        } else {
-            let mut sampler = ctx.sampler(0);
-            pool.extend_sequential(&mut sampler, from, additional);
-        }
+        pool.extend_parallel(&ctx.sampler(0), from, additional, threads);
         // `extend_*` may already have sealed the tail (the index compacts
         // once enough entries are pending), so this raw outcome can say
         // `AlreadySealed` even though the pool grew. Publishing is

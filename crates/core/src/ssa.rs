@@ -114,7 +114,7 @@ impl Ssa {
         let cap_sets = (n_max.ceil() as u64).max(1);
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut main_sampler = ctx.sampler(0);
+        let main_sampler = ctx.sampler(0);
         // One selection scratch for the whole run: the per-round coverage
         // view's gain/heap/stamp buffers stay at high-water capacity.
         let mut cover_scratch = GreedyScratch::new();
@@ -133,11 +133,7 @@ impl Ssa {
             let target = scheduled.min(cap_sets);
             let have = pool.len() as u64;
             if target > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut main_sampler, have, target - have);
-                }
+                pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
             }
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             // with verification recycling the pool can exceed the

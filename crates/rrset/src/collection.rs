@@ -280,7 +280,12 @@ impl RrCollection {
         self.epoch_edges.pop();
     }
 
-    /// Appends one sampled set.
+    /// Appends one sampled set: its members, root first.
+    ///
+    /// Members must be **distinct**, as every sampled RR set's are (a
+    /// reverse search reaches each node once). Selection counts a
+    /// node's gain once per member occurrence, so a repeated member
+    /// would inflate that node's gain and the reported coverage.
     pub fn push(&mut self, rr: &[NodeId], meta: RrMeta) {
         self.append_arena(rr, meta.edges_examined);
         self.reindex(1);
@@ -329,7 +334,9 @@ impl RrCollection {
     /// **bit-identical** to [`RrCollection::extend_sequential`] because
     /// each sample index owns its RNG stream, workers own contiguous
     /// index ranges merged back in order, and the index build is
-    /// thread-count-invariant (see the module docs).
+    /// thread-count-invariant (see the module docs). One worker, or
+    /// fewer than 128 sets, runs the sequential build on a clone of
+    /// `sampler`, so callers need no thread-count branch of their own.
     pub fn extend_parallel(
         &mut self,
         sampler: &RrSampler<'_>,
