@@ -93,6 +93,7 @@ fn branch(
 
 /// One oracle fixture: a tiny RR-set pool, a cost regime and a budget.
 /// All costs are dyadic rationals so budget arithmetic is exact in f64.
+/// Every set's members are distinct, as a sampled RR set's are.
 #[derive(Debug, Clone)]
 pub struct OracleFixture {
     /// Human-readable regime label (appears in assertions and reports).
@@ -119,7 +120,7 @@ pub fn fixtures() -> Vec<OracleFixture> {
 
     // Regime 1: uniform costs, budget = 4 — exactly the top-4 problem.
     let sets: Vec<Vec<u32>> =
-        (0..40u32).map(|s| vec![s % 11, (s * 7 + 3) % 11, (s * 5 + 1) % 11]).collect();
+        (0..40u32).map(|s| distinct([s % 11, (s * 7 + 3) % 11, (s * 5 + 1) % 11])).collect();
     out.push(OracleFixture {
         name: "uniform-costs",
         sets,
@@ -151,7 +152,7 @@ pub fn fixtures() -> Vec<OracleFixture> {
     // affordable combinations, none dominant, so exact search has real
     // work to do and greedy's gap is genuinely exercised.
     let sets: Vec<Vec<u32>> =
-        (0..90u32).map(|s| vec![s % 20, (s * 13 + 7) % 20, (s * 3 + 11) % 20]).collect();
+        (0..90u32).map(|s| distinct([s % 20, (s * 13 + 7) % 20, (s * 3 + 11) % 20])).collect();
     let costs: Vec<f64> =
         (0..20u32).map(|v| [0.25, 0.5, 0.75, 1.25, 1.5][(v % 5) as usize]).collect();
     out.push(OracleFixture { name: "tight-fractional", sets, n: 20, costs, budget: 2.75 });
@@ -180,6 +181,18 @@ pub fn fixtures() -> Vec<OracleFixture> {
     out.push(OracleFixture { name: "overlap-decoy", sets, n: 10, costs, budget: 3.0 });
 
     out
+}
+
+/// `members` with repeats dropped, first occurrences kept in order (so
+/// the root stays first).
+fn distinct<const N: usize>(members: [u32; N]) -> Vec<u32> {
+    let mut set = Vec::with_capacity(N);
+    for v in members {
+        if !set.contains(&v) {
+            set.push(v);
+        }
+    }
+    set
 }
 
 /// Runs the production budgeted greedy on a fixture (fresh histogram
@@ -261,6 +274,13 @@ mod tests {
         }
     }
 
+    fn distinct_len(set: &[u32]) -> usize {
+        let mut sorted = set.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len()
+    }
+
     #[test]
     fn fixtures_are_within_scale_and_nontrivial() {
         let all = fixtures();
@@ -269,6 +289,9 @@ mod tests {
             assert!(f.n <= 20, "{}: oracle fixtures stay exact-solvable", f.name);
             assert!(f.sets.len() <= 128, "{}", f.name);
             assert_eq!(f.costs.len(), f.n as usize, "{}", f.name);
+            for (i, set) in f.sets.iter().enumerate() {
+                assert_eq!(distinct_len(set), set.len(), "{} set {i} repeats a member", f.name);
+            }
             assert!(exact_on(f) > 0, "{}", f.name);
         }
         // the expensive-hub regime actually triggers the fallback arm
