@@ -11,22 +11,25 @@
 //! the baseline file `results/bench_baselines/sample_counts.json`.
 //! Counters named `*_speedup` (e.g. the pool-store load-vs-resample
 //! ratio) are timing-derived **floors**: they pass at or above their
-//! baselined minimum, fail loudly below it, and `--write` carries the
-//! floor over instead of overwriting it with a local measurement.
+//! baselined minimum, draw a warning annotation below it (wall clocks
+//! vary by host, so a missed floor never fails the run), and `--write`
+//! carries the floor over instead of overwriting it with a local
+//! measurement.
 //! Wall-clock serving figures (the `"serving"` object of
 //! `BENCH_query_engine.json` — p50/p99 latency, queries/sec) are
 //! deliberately **outside** the `"counters"` section and never diffed:
 //! the CI container has one CPU and latency there means nothing.
 //!
-//! Any mismatch prints a GitHub-annotation warning, lands in the
+//! Any mismatch prints a GitHub-annotation warning and lands in the
 //! workflow's step summary as an expected-vs-realized table
-//! (`$GITHUB_STEP_SUMMARY`), and makes the process **exit nonzero** so
-//! drift is visible in the checks UI. The CI step still runs with
-//! `continue-on-error: true` — drift flags loudly but never blocks a
-//! merge; the right response is a human judgement plus
-//! `bench_diff --write`. This is the guard that would have caught the
-//! Λ-dropped D-SSA stopping rule (~4× over-sampling at identical
-//! wall-time per sample) mechanically.
+//! (`$GITHUB_STEP_SUMMARY`). Drift in a deterministic counter — a
+//! changed value, or a baselined counter no longer computed — makes
+//! the process **exit nonzero**, and CI
+//! fails on it: the counters are byte-reproducible, so a drift is a
+//! behaviour change. An intended change is re-baselined with
+//! `bench_diff --write` and explained in the change's notes. This is
+//! the guard that would have caught the Λ-dropped D-SSA stopping rule
+//! (~4× over-sampling at identical wall-time per sample) mechanically.
 //!
 //! ```sh
 //! cargo run --release -p sns-bench --bin bench_diff          # check
@@ -125,8 +128,9 @@ impl Row {
     }
 }
 
-/// Diffs `got` against `baseline`, printing warn-only annotations and
-/// accumulating report rows. Returns the number of mismatches.
+/// Diffs `got` against `baseline`, printing annotations and
+/// accumulating report rows. Returns the number of deterministic
+/// counter mismatches (a missed `*_speedup` floor only warns).
 fn diff(
     source: &str,
     got: &BTreeMap<String, u64>,
@@ -151,7 +155,6 @@ fn diff(
                 if value >= floor {
                     println!("{source}: {name} = {value} meets its floor of {floor}");
                 } else {
-                    mismatches += 1;
                     println!(
                         "::warning::{source}: counter {name} = {value} fell below its \
                          baselined floor {floor} — a performance regression, not noise; \
@@ -293,10 +296,7 @@ fn main() {
     if mismatches == 0 {
         println!("bench_diff: all sample counters match their baselines");
     } else {
-        println!(
-            "bench_diff: {mismatches} counter mismatch(es) — exiting nonzero (the CI step is \
-             continue-on-error, so this flags in the checks UI without blocking)"
-        );
+        println!("bench_diff: {mismatches} counter mismatch(es) — exiting nonzero");
         std::process::exit(1);
     }
 }

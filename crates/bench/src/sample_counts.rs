@@ -14,7 +14,7 @@
 //! grow-while-serving query script ([`serving_counters`] — the same bug
 //! class in serving clothes: a cache that silently stops hitting stays
 //! exactly as *correct* and exactly as slow as no cache). The
-//! `bench_diff` binary compares them (warn-only) in CI, and the
+//! `bench_diff` binary compares them in CI (a hard gate), and the
 //! `query_engine` bench embeds them in `BENCH_query_engine.json`.
 
 use sns_core::{
