@@ -2,7 +2,8 @@
 //! and benchmarked against: the textbook rescan greedy
 //! ([`max_coverage_naive`]), the pre-view lazy heap
 //! ([`max_coverage_pre_refactor`]), the bucket-queue greedy
-//! ([`max_coverage_bucket`]), and an exact-IP quality oracle for
+//! ([`max_coverage_bucket`]), the direct answer a served seed query must
+//! equal ([`direct_answer`]), and an exact-IP quality oracle for
 //! budgeted seed selection.
 //!
 //! # Exact-IP oracle
@@ -22,6 +23,7 @@
 //! it never touches [`CoverageView`]'s gain tables, heaps or stamps — so
 //! agreement between the two is evidence, not tautology.
 
+use sns_core::{SeedAnswer, SeedQuery};
 use sns_diffusion::RrMeta;
 use sns_rrset::{
     CoverageView, GreedyScratch, Limit, NodeCosts, RrCollection, Selection, SelectionResult, Start,
@@ -29,6 +31,27 @@ use sns_rrset::{
 
 pub use crate::bucket::max_coverage_bucket;
 pub use crate::greedy::{max_coverage_naive, max_coverage_pre_refactor};
+
+/// The reference answer to `query` on `pool`: one fresh selection over
+/// the query's slice, with no engine, cache, snapshot or planner in
+/// between — what every served answer must equal bit for bit.
+pub fn direct_answer(pool: &RrCollection, gamma: f64, query: &SeedQuery) -> SeedAnswer {
+    let range = query.range.clone().unwrap_or_else(|| pool.id_range());
+    let r = CoverageView::build(pool, range.clone()).select_with(
+        &query.selection(),
+        Start::Fresh,
+        &mut GreedyScratch::new(),
+    );
+    let len = u64::from(range.end - range.start);
+    let influence = if len == 0 { 0.0 } else { gamma * r.covered / len as f64 };
+    SeedAnswer {
+        seeds: r.seeds,
+        covered: r.covered,
+        influence_estimate: influence,
+        marginal_gains: r.marginal_gains,
+        range,
+    }
+}
 
 /// Per-node set-coverage bitmasks: `masks[v]` has bit `s` set iff node
 /// `v` is a member of RR set `s`. Panics if more than 128 sets are given

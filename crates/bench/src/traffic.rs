@@ -33,34 +33,12 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sns_core::{
-    AdmissionQueue, NodeCosts, Priority, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine,
-};
+use sns_core::{AdmissionQueue, NodeCosts, Priority, SamplingContext, SeedQuery, SeedQueryEngine};
 use sns_diffusion::Model;
 use sns_graph::{gen, WeightModel};
-use sns_rrset::{CoverageView, GreedyScratch, RrCollection, Start};
 use sns_tvm::TargetWeights;
 
-/// The reference answer to `query` on `pool`: one fresh selection over
-/// the query's slice, with no engine, cache, snapshot or planner in
-/// between — what every served answer must equal bit for bit.
-pub fn direct_answer(pool: &RrCollection, gamma: f64, query: &SeedQuery) -> SeedAnswer {
-    let range = query.range.clone().unwrap_or_else(|| pool.id_range());
-    let r = CoverageView::build(pool, range.clone()).select_with(
-        &query.selection(),
-        Start::Fresh,
-        &mut GreedyScratch::new(),
-    );
-    let len = u64::from(range.end - range.start);
-    let influence = if len == 0 { 0.0 } else { gamma * r.covered / len as f64 };
-    SeedAnswer {
-        seeds: r.seeds,
-        covered: r.covered,
-        influence_estimate: influence,
-        marginal_gains: r.marginal_gains,
-        range,
-    }
-}
+use crate::oracle::direct_answer;
 
 /// A seeded traffic scenario: fixture sizes, arrival process, query
 /// mix, admission limits and growth schedule. Two simulations of an

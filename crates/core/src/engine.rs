@@ -831,6 +831,12 @@ impl SeedQueryEngine {
         pool.epoch_boundaries().partition_point(|&b| b <= end) as u32
     }
 
+    /// The cache key of `range`'s plain snapshot in `pool`.
+    fn plain_key(pool: &RrCollection, range: &Range<u32>) -> CacheKey {
+        let epochs = Self::epoch_signature(pool, range.end);
+        CacheKey::Plain { start: range.start, end: range.end, epochs }
+    }
+
     /// Decomposes `range` against the sealed epoch boundaries into
     /// maximal segments: `(segment, is_full_epoch)`. Full epochs freeze
     /// reusable snapshots; partial head/tail segments (unaligned starts,
@@ -867,11 +873,7 @@ impl SeedQueryEngine {
     /// ranges spanning several epochs. Counts one query-level hit or
     /// miss per call.
     fn snapshot_for(&self, pool: &RrCollection, range: &Range<u32>) -> Arc<GainSnapshot> {
-        let key = CacheKey::Plain {
-            start: range.start,
-            end: range.end,
-            epochs: Self::epoch_signature(pool, range.end),
-        };
+        let key = Self::plain_key(pool, range);
         if let Some(CachedSnapshot::Plain(snap)) = self.cache.get(&key) {
             self.cache.note_snapshot_hit();
             return snap;
@@ -907,35 +909,26 @@ impl SeedQueryEngine {
     /// cached) now. Epoch lookups refresh LRU order but do not count as
     /// query-level hits/misses; builds count into `epochs_frozen`.
     fn epoch_snapshot(&self, pool: &RrCollection, epoch: &Range<u32>) -> Arc<GainSnapshot> {
-        let key = CacheKey::Plain {
-            start: epoch.start,
-            end: epoch.end,
-            epochs: Self::epoch_signature(pool, epoch.end),
-        };
-        if let Some(CachedSnapshot::Plain(snap)) = self.cache.get(&key) {
-            return snap;
+        match self.cache.get(&Self::plain_key(pool, epoch)) {
+            Some(CachedSnapshot::Plain(snap)) => snap,
+            _ => self.freeze_epoch(pool, epoch),
         }
-        let built = Arc::new(GainSnapshot::build(&CoverageView::build(pool, epoch.clone())));
-        self.cache.note_epoch_frozen();
-        self.cache.insert(key, CachedSnapshot::Plain(Arc::clone(&built)));
-        built
     }
 
-    /// Freezes one just-sealed epoch's snapshot into the cache —
-    /// [`Grower::extend`]'s publish-time pre-freeze, so the first query
-    /// against a grown pool finds the new epoch already cached instead
-    /// of paying a build on the serving path. Each epoch is sealed
-    /// exactly once, so this builds unconditionally (counting into
-    /// `epochs_frozen` like any epoch build).
-    pub(crate) fn freeze_epoch(&self, pool: &RrCollection, epoch: &Range<u32>) {
-        let key = CacheKey::Plain {
-            start: epoch.start,
-            end: epoch.end,
-            epochs: Self::epoch_signature(pool, epoch.end),
-        };
+    /// Freezes one epoch's snapshot into the cache, counting into
+    /// `epochs_frozen`. Also [`Grower::extend`]'s publish-time
+    /// pre-freeze, so the first query against a grown pool finds the new
+    /// epoch already cached instead of paying a build on the serving
+    /// path (each epoch is sealed exactly once).
+    pub(crate) fn freeze_epoch(
+        &self,
+        pool: &RrCollection,
+        epoch: &Range<u32>,
+    ) -> Arc<GainSnapshot> {
         let built = Arc::new(GainSnapshot::build(&CoverageView::build(pool, epoch.clone())));
         self.cache.note_epoch_frozen();
-        self.cache.insert(key, CachedSnapshot::Plain(built));
+        self.cache.insert(Self::plain_key(pool, epoch), CachedSnapshot::Plain(Arc::clone(&built)));
+        built
     }
 
     /// The frozen weighted snapshot for `(range, topic)`, verified

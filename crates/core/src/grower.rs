@@ -126,7 +126,7 @@ impl<'e> Grower<'e> {
             let bounds = pool.epoch_boundaries().to_vec();
             for e in bounds_before..bounds.len() {
                 let lo = if e == 0 { 0 } else { bounds[e - 1] };
-                self.engine.freeze_epoch(&pool, &(lo..bounds[e]));
+                let _ = self.engine.freeze_epoch(&pool, &(lo..bounds[e]));
             }
             let generation = state.dir_writer.publish(Arc::clone(&pool));
             state.next_sample_index += additional;

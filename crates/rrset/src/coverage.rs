@@ -55,12 +55,11 @@
 //! clearing work.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
-use crate::greedy::CountGains;
+use crate::greedy::{CountGains, Ordered};
 use crate::index::CsrOffsets;
 use crate::{CoverageResult, RrCollection, Selection};
 
@@ -260,46 +259,6 @@ impl GreedyScratch {
             self.selected_stamp.resize(n, 0);
         }
         self.generation
-    }
-}
-
-/// A heap key under a total order: a `u32` gain, or an `f64` gain or
-/// gain/cost ratio. Every `f64` key is finite (weights and costs are
-/// validated), so `total_cmp` is a plain bit trick, never a NaN
-/// judgement call. Same layout as the bare value, so a frozen heap seed
-/// is a memcpy either way.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Ordered<G>(pub(crate) G);
-
-impl Eq for Ordered<u32> {}
-
-impl PartialOrd for Ordered<u32> {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ordered<u32> {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-impl Eq for Ordered<f64> {}
-
-impl PartialOrd for Ordered<f64> {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ordered<f64> {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
     }
 }
 

@@ -37,12 +37,13 @@
 //! bucket-queue greedies that check and benchmark this kernel live in
 //! `sns_bench::oracle`.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::ops::Range;
+use std::ops::{Add, AddAssign, Range, SubAssign};
 
 use sns_graph::NodeId;
 
-use crate::coverage::{max_coverage_with, GreedyScratch, Ordered};
+use crate::coverage::{max_coverage_with, GreedyScratch};
 use crate::{CoverageView, GainSnapshot, NodeCosts, RrCollection};
 
 /// Result of a plain top-`k` greedy run ([`CoverageView::select`],
@@ -161,39 +162,65 @@ pub fn max_coverage_range(rc: &RrCollection, k: usize, range: Range<u32>) -> Cov
     max_coverage_with(rc, k, range, &mut GreedyScratch::new())
 }
 
+/// A heap key under a total order: a `u32` gain, or an `f64` gain or
+/// gain/cost ratio. Every `f64` key is finite (weights and costs are
+/// validated), so `total_cmp` is a plain bit trick, never a NaN
+/// judgement call. Same layout as the bare value, so a frozen heap seed
+/// is a memcpy either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Ordered<G>(pub(crate) G);
+
+impl<G: Gain> Eq for Ordered<G> {}
+
+impl<G: Gain> PartialOrd for Ordered<G> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<G: Gain> Ord for Ordered<G> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(other.0)
+    }
+}
+
 /// A per-node gain: `u32` set counts or `f64` weight mass. `Default` is
 /// zero.
-pub(crate) trait Gain: Copy + PartialOrd + Default {
+pub(crate) trait Gain: Copy + PartialOrd + Default + AddAssign + SubAssign {
     /// Running totals: `u64` counts or `f64` mass.
-    type Sum: Copy + PartialOrd + Default;
+    type Sum: Copy + PartialOrd + Default + Add<Output = Self::Sum>;
+    fn total_cmp(self, other: Self) -> Ordering;
+    fn widen(self) -> Self::Sum;
+    fn to_f64(self) -> f64;
+    fn sum_f64(sum: Self::Sum) -> f64;
+    /// The scratch's recycled gain table and heap buffer of this type.
+    fn table(scratch: &mut GreedyScratch) -> &mut Vec<Self>;
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<Self>, NodeId)>;
+
     /// Whether covering more would still add anything.
     #[inline]
     fn positive(self) -> bool {
         self > Self::default()
     }
-    fn widen(self) -> Self::Sum;
-    fn add(sum: Self::Sum, g: Self) -> Self::Sum;
-    fn ratio(self, cost: f64) -> f64;
-    fn sum_f64(sum: Self::Sum) -> f64;
-    /// The scratch's recycled gain table of this type.
-    fn table(scratch: &mut GreedyScratch) -> &mut Vec<Self>;
 }
 
 impl Gain for u32 {
     type Sum = u64;
     #[inline]
+    fn total_cmp(self, other: u32) -> Ordering {
+        self.cmp(&other)
+    }
+    #[inline]
     fn widen(self) -> u64 {
         u64::from(self)
     }
     #[inline]
-    fn add(sum: u64, g: u32) -> u64 {
-        sum + u64::from(g)
-    }
-    #[inline]
-    fn ratio(self, cost: f64) -> f64 {
-        // `u32 → f64` is exact, so with unit costs the ratio heap is
-        // order-isomorphic to the plain `(gain, id)` heap.
-        f64::from(self) / cost
+    fn to_f64(self) -> f64 {
+        // Exact, so with unit costs the ratio heap is order-isomorphic to
+        // the plain `(gain, id)` heap.
+        f64::from(self)
     }
     fn sum_f64(sum: u64) -> f64 {
         sum as f64
@@ -201,21 +228,24 @@ impl Gain for u32 {
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<u32> {
         &mut scratch.gain
     }
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<u32>, NodeId)> {
+        &mut scratch.heap_buf
+    }
 }
 
 impl Gain for f64 {
     type Sum = f64;
     #[inline]
+    fn total_cmp(self, other: f64) -> Ordering {
+        f64::total_cmp(&self, &other)
+    }
+    #[inline]
     fn widen(self) -> f64 {
         self
     }
     #[inline]
-    fn add(sum: f64, g: f64) -> f64 {
-        sum + g
-    }
-    #[inline]
-    fn ratio(self, cost: f64) -> f64 {
-        self / cost
+    fn to_f64(self) -> f64 {
+        self
     }
     fn sum_f64(sum: f64) -> f64 {
         sum
@@ -223,59 +253,36 @@ impl Gain for f64 {
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<f64> {
         &mut scratch.wgain
     }
-}
-
-/// A heap key type with a recycled heap buffer in the scratch.
-pub(crate) trait HeapKey: Ord + Copy {
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)>;
-}
-
-impl HeapKey for Ordered<u32> {
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)> {
-        &mut scratch.heap_buf
-    }
-}
-
-impl HeapKey for Ordered<f64> {
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Self, NodeId)> {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<f64>, NodeId)> {
         &mut scratch.wheap_buf
     }
 }
 
-/// The objective half of the kernel: how gains start and how covering a
-/// set lowers them.
+/// The objective half of the kernel: what a covered set is worth.
 pub(crate) trait Gains {
     type G: Gain;
+
+    /// The gain a set with these members contributes to each of them.
+    fn set_weight(&self, members: &[NodeId]) -> Self::G;
+
     /// Fills `gains` (cleared by the caller) with every node's initial
-    /// gain over `view`'s slice.
-    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<Self::G>);
-    /// Marks `v`'s still-uncovered in-range sets covered and lowers their
-    /// members' gains.
-    fn cover(
-        &self,
-        view: &CoverageView<'_>,
-        v: NodeId,
-        generation: u32,
-        covered_stamp: &mut [u32],
-        gains: &mut [Self::G],
-    );
-}
-
-/// [`Objective::Count`]: one unit of gain per covered set.
-pub(crate) struct CountGains;
-
-impl Gains for CountGains {
-    type G = u32;
-
-    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<u32>) {
-        // The in-range degree `sets_containing_in(v, range).len()` of
-        // every node, by one streaming pass over the slice's members.
-        gains.resize(view.num_nodes() as usize, 0);
-        for &v in view.raw_members() {
-            gains[v as usize] += 1;
+    /// gain over `view`'s slice, in slot order (so frozen and fresh float
+    /// sums are bit-identical).
+    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<Self::G>) {
+        gains.resize(view.num_nodes() as usize, Self::G::default());
+        for slot in 0..view.len() {
+            let members = view.members(slot);
+            let w = self.set_weight(members);
+            if w.positive() {
+                for &v in members {
+                    gains[v as usize] += w;
+                }
+            }
         }
     }
 
+    /// Marks `v`'s still-uncovered in-range sets covered and lowers their
+    /// members' gains.
     #[inline]
     fn cover(
         &self,
@@ -283,7 +290,7 @@ impl Gains for CountGains {
         v: NodeId,
         generation: u32,
         covered_stamp: &mut [u32],
-        gains: &mut [u32],
+        gains: &mut [Self::G],
     ) {
         let range = view.range();
         for id in view.pool().sets_containing_in(v, range.clone()) {
@@ -292,14 +299,40 @@ impl Gains for CountGains {
                 continue;
             }
             covered_stamp[slot] = generation;
-            for &w in view.members(slot) {
-                gains[w as usize] -= 1;
+            let members = view.members(slot);
+            let w = self.set_weight(members);
+            if w.positive() {
+                for &u in members {
+                    gains[u as usize] -= w;
+                }
             }
         }
     }
 }
 
-/// [`Objective::Weighted`]: each covered set is worth its root's weight.
+/// [`Objective::Count`]: one unit of gain per covered set.
+pub(crate) struct CountGains;
+
+impl Gains for CountGains {
+    type G = u32;
+
+    #[inline]
+    fn set_weight(&self, _: &[NodeId]) -> u32 {
+        1
+    }
+
+    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<u32>) {
+        // The in-range degree of every node, by one streaming pass over
+        // the slice's members.
+        gains.resize(view.num_nodes() as usize, 0);
+        for &v in view.raw_members() {
+            gains[v as usize] += 1;
+        }
+    }
+}
+
+/// [`Objective::Weighted`]: each covered set is worth its root's weight
+/// (an empty set has no root and weighs nothing).
 pub(crate) struct WeightedGains<'w>(&'w [f64]);
 
 impl<'w> WeightedGains<'w> {
@@ -315,58 +348,14 @@ impl<'w> WeightedGains<'w> {
         );
         WeightedGains(weights)
     }
-
-    /// The weight of the set in `members` (its root's weight; an empty
-    /// set has no root and weighs nothing).
-    #[inline]
-    fn set_weight(&self, members: &[NodeId]) -> f64 {
-        members.first().map_or(0.0, |&root| self.0[root as usize])
-    }
 }
 
 impl Gains for WeightedGains<'_> {
     type G = f64;
 
-    fn init(&self, view: &CoverageView<'_>, gains: &mut Vec<f64>) {
-        // Slot order, so frozen and fresh float sums are bit-identical.
-        gains.resize(view.num_nodes() as usize, 0.0);
-        for slot in 0..view.len() {
-            let members = view.members(slot);
-            let w = self.set_weight(members);
-            if w == 0.0 {
-                continue;
-            }
-            for &v in members {
-                gains[v as usize] += w;
-            }
-        }
-    }
-
     #[inline]
-    fn cover(
-        &self,
-        view: &CoverageView<'_>,
-        v: NodeId,
-        generation: u32,
-        covered_stamp: &mut [u32],
-        gains: &mut [f64],
-    ) {
-        let range = view.range();
-        for id in view.pool().sets_containing_in(v, range.clone()) {
-            let slot = (id - range.start) as usize;
-            if covered_stamp[slot] == generation {
-                continue;
-            }
-            covered_stamp[slot] = generation;
-            let members = view.members(slot);
-            let w = self.set_weight(members);
-            if w == 0.0 {
-                continue;
-            }
-            for &u in members {
-                gains[u as usize] -= w;
-            }
-        }
+    fn set_weight(&self, members: &[NodeId]) -> f64 {
+        members.first().map_or(0.0, |&root| self.0[root as usize])
     }
 }
 
@@ -381,17 +370,18 @@ pub(crate) fn heap_seed<G: Gain>(gains: &[G], n: u32, out: &mut Vec<(Ordered<G>,
 /// The limit half of the kernel: heap keys, when to stop, and what a
 /// seed costs.
 trait Bound<G: Gain> {
-    type Key: HeapKey;
+    /// The heap key's gain type: `G` itself, or `f64` for ratios.
+    type K: Gain;
     /// Seeds the selection expects (a capacity hint).
     fn capacity(&self) -> usize;
-    fn key(&self, g: G, v: NodeId) -> Self::Key;
+    fn key(&self, g: G, v: NodeId) -> Ordered<Self::K>;
     /// Fills the heap buffer from the initial gains (or a frozen seed).
     fn seed(
         &self,
         gains: &[G],
         n: u32,
         frozen: Option<&[(Ordered<G>, NodeId)]>,
-        heap: &mut Vec<(Self::Key, NodeId)>,
+        heap: &mut Vec<(Ordered<Self::K>, NodeId)>,
     );
     /// Whether another seed may be added after `picked` seeds.
     fn open(&self, picked: usize) -> bool;
@@ -399,21 +389,18 @@ trait Bound<G: Gain> {
     fn charge(&mut self, v: NodeId) -> bool;
     /// Charges a forced seed, which must fit.
     fn charge_forced(&mut self, v: NodeId);
-    /// The best single affordable node, read off the initial gains, when
-    /// this limit guarantees `max(greedy, best single)`.
-    fn best_single(&self, gains: &[G], is_taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)>;
-    fn cost_of(&self, v: NodeId) -> f64;
+    /// The best single affordable node and its cost, read off the
+    /// initial gains, when this limit guarantees `max(greedy, best
+    /// single)`.
+    fn best_single(&self, gains: &[G], taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId, f64)>;
     fn spent(&self) -> f64;
 }
 
 /// [`Limit::TopK`] with `k` already clamped to the node count.
 struct TopK(usize);
 
-impl<G: Gain> Bound<G> for TopK
-where
-    Ordered<G>: HeapKey,
-{
-    type Key = Ordered<G>;
+impl<G: Gain> Bound<G> for TopK {
+    type K = G;
 
     fn capacity(&self) -> usize {
         self.0
@@ -449,12 +436,8 @@ where
 
     fn charge_forced(&mut self, _: NodeId) {}
 
-    fn best_single(&self, _: &[G], _: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)> {
+    fn best_single(&self, _: &[G], _: impl Fn(NodeId) -> bool) -> Option<(G, NodeId, f64)> {
         None
-    }
-
-    fn cost_of(&self, _: NodeId) -> f64 {
-        1.0
     }
 
     fn spent(&self) -> f64 {
@@ -472,7 +455,7 @@ struct Budget<'c> {
 }
 
 impl<G: Gain> Bound<G> for Budget<'_> {
-    type Key = Ordered<f64>;
+    type K = f64;
 
     fn capacity(&self) -> usize {
         0
@@ -480,7 +463,7 @@ impl<G: Gain> Bound<G> for Budget<'_> {
 
     #[inline]
     fn key(&self, g: G, v: NodeId) -> Ordered<f64> {
-        Ordered(g.ratio(self.costs.cost(v)))
+        Ordered(g.to_f64() / self.costs.cost(v))
     }
 
     fn seed(
@@ -519,21 +502,18 @@ impl<G: Gain> Bound<G> for Budget<'_> {
         assert!(Bound::<G>::charge(self, v), "forced seeds overrun the budget {budget}");
     }
 
-    fn best_single(&self, gains: &[G], is_taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId)> {
-        let mut best: Option<(G, NodeId)> = None;
+    fn best_single(&self, gains: &[G], taken: impl Fn(NodeId) -> bool) -> Option<(G, NodeId, f64)> {
+        let mut best: Option<(G, NodeId, f64)> = None;
         for (v, &g) in (0..).zip(gains) {
-            if !g.positive() || is_taken(v) {
+            if !g.positive() || taken(v) {
                 continue;
             }
-            if self.costs.cost(v) <= self.budget && best.is_none_or(|b| (g, v) > b) {
-                best = Some((g, v));
+            let c = self.costs.cost(v);
+            if c <= self.budget && best.is_none_or(|b| (g, v) > (b.0, b.1)) {
+                best = Some((g, v, c));
             }
         }
         best
-    }
-
-    fn cost_of(&self, v: NodeId) -> f64 {
-        self.costs.cost(v)
     }
 
     fn spent(&self) -> f64 {
@@ -621,10 +601,7 @@ impl CoverageView<'_> {
         frozen: Option<&GainSnapshot<O::G>>,
         selection: &Selection<'_>,
         scratch: &mut GreedyScratch,
-    ) -> Picked<<O::G as Gain>::Sum>
-    where
-        Ordered<O::G>: HeapKey,
-    {
+    ) -> Picked<<O::G as Gain>::Sum> {
         let n = self.num_nodes();
         match selection.limit {
             Limit::TopK(k) => {
@@ -661,7 +638,7 @@ impl CoverageView<'_> {
         let generation = scratch.begin_run(n as usize, self.len());
 
         let mut gain = std::mem::take(O::G::table(scratch));
-        let mut heap_buf = std::mem::take(L::Key::heap(scratch));
+        let mut heap_buf = std::mem::take(L::K::heap(scratch));
         gain.clear();
         heap_buf.clear();
         match frozen {
@@ -708,7 +685,7 @@ impl CoverageView<'_> {
             let g = gain[v as usize];
             seeds.push(v);
             marginal_gains.push(g.widen());
-            covered = O::G::add(covered, g);
+            covered = covered + g.widen();
             if g.positive() {
                 objective.cover(self, v, generation, &mut scratch.covered_stamp, &mut gain);
             }
@@ -740,7 +717,7 @@ impl CoverageView<'_> {
             scratch.selected_stamp[v as usize] = generation;
             seeds.push(v);
             marginal_gains.push(current.widen());
-            covered = O::G::add(covered, current);
+            covered = covered + current.widen();
             objective.cover(self, v, generation, &mut scratch.covered_stamp, &mut gain);
         }
 
@@ -758,10 +735,10 @@ impl CoverageView<'_> {
             next += 1;
         }
 
-        *L::Key::heap(scratch) = heap.into_vec();
+        *L::K::heap(scratch) = heap.into_vec();
         *O::G::table(scratch) = gain;
 
-        if let Some((g, v)) = best_single {
+        if let Some((g, v, cost)) = best_single {
             if g.widen() > covered {
                 // The single affordable node beats the whole ratio-greedy
                 // set — the classical bad case for plain ratio greedy.
@@ -769,7 +746,7 @@ impl CoverageView<'_> {
                     seeds: vec![v],
                     covered: g.widen(),
                     marginal_gains: vec![g.widen()],
-                    spent: limit.cost_of(v),
+                    spent: cost,
                     single_fallback: true,
                 };
             }

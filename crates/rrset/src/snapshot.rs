@@ -57,8 +57,7 @@ use std::ops::Range;
 
 use sns_graph::NodeId;
 
-use crate::coverage::Ordered;
-use crate::greedy::{heap_seed, CountGains, Gain, Gains, WeightedGains};
+use crate::greedy::{heap_seed, CountGains, Gain, Gains, Ordered, WeightedGains};
 use crate::index::CsrOffsets;
 use crate::{CoverageView, RrCollection};
 

@@ -1,8 +1,9 @@
 //! Property test for the batch planner: planned/grouped execution is
 //! **bit-identical** to a direct per-query selection over the same pool
-//! slice (`CoverageView::build(pool, range).select_with(..)`, no engine
-//! cache) — across epoch layouts, shuffled batch orders, and worker
-//! thread counts.
+//! slice (`sns_bench::oracle::direct_answer`: one
+//! `CoverageView::build(pool, range).select_with(..)`, no engine cache)
+//! — across epoch layouts, shuffled batch orders, and worker thread
+//! counts.
 //!
 //! The planner's whole contract is that it only changes *who pays* for
 //! snapshot resolution, never the answers. This test generates random
@@ -19,8 +20,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use sns_bench::oracle::direct_answer;
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::rrset::{CoverageView, GreedyScratch, RrCollection, Start};
+use stop_and_stare::rrset::RrCollection;
 use stop_and_stare::{Model, NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine};
 
 const POOL_SETS: u64 = 2400;
@@ -104,26 +106,9 @@ fn decode(k: usize, range_pick: u32, flavor: u32) -> SeedQuery {
 }
 
 /// The reference: each query answered by one fresh selection over its
-/// slice of `pool`, with Γ = n.
+/// slice of `pool`.
 fn direct(pool: &RrCollection, batch: &[SeedQuery]) -> Vec<SeedAnswer> {
-    let mut scratch = GreedyScratch::new();
-    batch
-        .iter()
-        .map(|q| {
-            let range = q.range.clone().unwrap_or_else(|| pool.id_range());
-            let view = CoverageView::build(pool, range.clone());
-            let r = view.select_with(&q.selection(), Start::Fresh, &mut scratch);
-            let len = f64::from(range.end - range.start);
-            let gamma = f64::from(pool.num_nodes());
-            SeedAnswer {
-                seeds: r.seeds,
-                covered: r.covered,
-                influence_estimate: if len == 0.0 { 0.0 } else { gamma * r.covered / len },
-                marginal_gains: r.marginal_gains,
-                range,
-            }
-        })
-        .collect()
+    batch.iter().map(|q| direct_answer(pool, f64::from(pool.num_nodes()), q)).collect()
 }
 
 proptest! {

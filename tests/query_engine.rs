@@ -5,10 +5,9 @@
 //! under pool growth, and the cache policy (LRU eviction under a byte
 //! budget, pinned hit/miss/evict counters).
 
+use sns_bench::oracle::direct_answer;
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::rrset::{
-    max_coverage_range, CoverageView, GreedyScratch, Limit, Objective, Selection, Start,
-};
+use stop_and_stare::rrset::{max_coverage_range, GreedyScratch};
 use stop_and_stare::tvm::TargetWeights;
 use stop_and_stare::{Model, SamplingContext, SeedQuery, SeedQueryEngine};
 
@@ -51,26 +50,11 @@ fn every_batched_answer_is_bit_identical_to_direct_selection() {
     let batch = mixed_batch(pool_len, &weights);
     let answers = engine.answer_batch(&batch).unwrap();
 
-    let mut scratch = GreedyScratch::new();
     for (query, answer) in batch.iter().zip(&answers) {
         let range = query.range.clone().unwrap_or(0..pool_len);
         assert_eq!(answer.range, range);
-        let view = CoverageView::build(pool, range.clone());
-        let objective = match &query.root_weights {
-            Some(w) => Objective::Weighted(w),
-            None => Objective::Count,
-        };
-        let selection = Selection {
-            objective,
-            limit: Limit::TopK(query.k),
-            forced: &query.forced,
-            excluded: &query.excluded,
-        };
-        // direct = fresh per-call selection, no snapshot
-        let direct = view.select_with(&selection, Start::Fresh, &mut scratch);
-        assert_eq!(answer.seeds, direct.seeds, "query {query:?}");
-        assert_eq!(answer.covered, direct.covered);
-        assert_eq!(answer.marginal_gains, direct.marginal_gains);
+        // direct = one fresh per-call selection, no engine or snapshot
+        assert_eq!(answer, &direct_answer(pool, engine.gamma(), query), "query {query:?}");
         if query.root_weights.is_none() && query.forced.is_empty() && query.excluded.is_empty() {
             // and for plain queries, = the public one-shot API
             let plain = max_coverage_range(pool, query.k, range.clone());
