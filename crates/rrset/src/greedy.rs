@@ -837,22 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn select_with_top_k_equals_select() {
-        let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4], &[4, 1]], 5);
-        let view = CoverageView::build(&rc, 0..5);
-        let mut scratch = GreedyScratch::new();
-        for k in 1..=5 {
-            let plain = view.select(k, &mut scratch);
-            let spec = view.select_with(&Selection::top_k(k), Start::Fresh, &mut scratch);
-            assert_eq!(spec.seeds, plain.seeds);
-            assert_eq!(spec.covered, plain.covered as f64);
-            let gains: Vec<f64> = plain.marginal_gains.iter().map(|&g| g as f64).collect();
-            assert_eq!(spec.marginal_gains, gains);
-            assert_eq!((spec.spent, spec.single_fallback), (0.0, false));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "cannot start a weighted selection")]
     fn snapshot_must_match_the_objective() {
         let rc = pool(&[&[0, 1]], 2);
