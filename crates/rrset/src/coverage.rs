@@ -59,7 +59,7 @@ use std::ops::Range;
 
 use sns_graph::NodeId;
 
-use crate::greedy::{CountGains, Ordered};
+use crate::greedy::{CountGains, Entry};
 use crate::index::CsrOffsets;
 use crate::{CoverageResult, RrCollection, Selection};
 
@@ -222,13 +222,13 @@ pub struct GreedyScratch {
     /// Per-node selected mark: selected iff `== generation`.
     pub(crate) selected_stamp: Vec<u32>,
     /// Recycled backing storage of the `(gain, id)` top-k heap.
-    pub(crate) heap_buf: Vec<(Ordered<u32>, NodeId)>,
+    pub(crate) heap_buf: Vec<Entry<u32>>,
     /// Gain table of weighted selections (`Σ` of uncovered set weights
     /// per node).
     pub(crate) wgain: Vec<f64>,
     /// Recycled backing storage of the `f64`-keyed heap (weighted gains
     /// or budget ratios).
-    pub(crate) wheap_buf: Vec<(Ordered<f64>, NodeId)>,
+    pub(crate) wheap_buf: Vec<Entry<f64>>,
     /// Current run's stamp; incremented by [`GreedyScratch::begin_run`].
     generation: u32,
 }

@@ -162,27 +162,47 @@ pub fn max_coverage_range(rc: &RrCollection, k: usize, range: Range<u32>) -> Cov
     max_coverage_with(rc, k, range, &mut GreedyScratch::new())
 }
 
-/// A heap key under a total order: a `u32` gain, or an `f64` gain or
-/// gain/cost ratio. Every `f64` key is finite (weights and costs are
-/// validated), so `total_cmp` is a plain bit trick, never a NaN
-/// judgement call. Same layout as the bare value, so a frozen heap seed
-/// is a memcpy either way.
+/// A heap entry: a key (a `u32` gain, or an `f64` gain or gain/cost
+/// ratio) and its node, max-ordered by key, ties to the larger id. Every
+/// `f64` key is finite (weights and costs are validated), so the total
+/// order is a plain bit trick, never a NaN judgement call. Same layout
+/// as a `(key, node)` pair, so a frozen heap seed is a memcpy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Ordered<G>(pub(crate) G);
+pub(crate) struct Entry<G>(pub(crate) G, pub(crate) NodeId);
 
-impl<G: Gain> Eq for Ordered<G> {}
+impl<G: Gain> Eq for Entry<G> {}
 
-impl<G: Gain> PartialOrd for Ordered<G> {
-    #[inline]
+impl<G: Gain> PartialOrd for Entry<G> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    // The heap compares with `<=` and `>=`: keep them one native
+    // comparison for `u32` keys.
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        G::entry_le(*self, *other)
+    }
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        G::entry_le(*other, *self)
+    }
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        !self.ge(other)
+    }
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        !self.le(other)
+    }
 }
 
-impl<G: Gain> Ord for Ordered<G> {
-    #[inline]
+impl<G: Gain> Ord for Entry<G> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(other.0)
+        match (self.le(other), self.ge(other)) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            _ => Ordering::Greater,
+        }
     }
 }
 
@@ -191,13 +211,14 @@ impl<G: Gain> Ord for Ordered<G> {
 pub(crate) trait Gain: Copy + PartialOrd + Default + AddAssign + SubAssign {
     /// Running totals: `u64` counts or `f64` mass.
     type Sum: Copy + PartialOrd + Default + Add<Output = Self::Sum>;
-    fn total_cmp(self, other: Self) -> Ordering;
+    /// `a <= b` in the heap's total order.
+    fn entry_le(a: Entry<Self>, b: Entry<Self>) -> bool;
     fn widen(self) -> Self::Sum;
     fn to_f64(self) -> f64;
     fn sum_f64(sum: Self::Sum) -> f64;
     /// The scratch's recycled gain table and heap buffer of this type.
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<Self>;
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<Self>, NodeId)>;
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<Entry<Self>>;
 
     /// Whether covering more would still add anything.
     #[inline]
@@ -209,8 +230,8 @@ pub(crate) trait Gain: Copy + PartialOrd + Default + AddAssign + SubAssign {
 impl Gain for u32 {
     type Sum = u64;
     #[inline]
-    fn total_cmp(self, other: u32) -> Ordering {
-        self.cmp(&other)
+    fn entry_le(a: Entry<u32>, b: Entry<u32>) -> bool {
+        (a.0, a.1) <= (b.0, b.1)
     }
     #[inline]
     fn widen(self) -> u64 {
@@ -228,7 +249,7 @@ impl Gain for u32 {
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<u32> {
         &mut scratch.gain
     }
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<u32>, NodeId)> {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<Entry<u32>> {
         &mut scratch.heap_buf
     }
 }
@@ -236,8 +257,8 @@ impl Gain for u32 {
 impl Gain for f64 {
     type Sum = f64;
     #[inline]
-    fn total_cmp(self, other: f64) -> Ordering {
-        f64::total_cmp(&self, &other)
+    fn entry_le(a: Entry<f64>, b: Entry<f64>) -> bool {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le()
     }
     #[inline]
     fn widen(self) -> f64 {
@@ -253,7 +274,7 @@ impl Gain for f64 {
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<f64> {
         &mut scratch.wgain
     }
-    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<(Ordered<f64>, NodeId)> {
+    fn heap(scratch: &mut GreedyScratch) -> &mut Vec<Entry<f64>> {
         &mut scratch.wheap_buf
     }
 }
@@ -361,9 +382,9 @@ impl Gains for WeightedGains<'_> {
 
 /// `(gain, v)` for every node with positive gain, ascending `v` — the
 /// buffer a top-`k` heap starts from (and what a snapshot freezes).
-pub(crate) fn heap_seed<G: Gain>(gains: &[G], n: u32, out: &mut Vec<(Ordered<G>, NodeId)>) {
+pub(crate) fn heap_seed<G: Gain>(gains: &[G], n: u32, out: &mut Vec<Entry<G>>) {
     out.extend(
-        (0..n).filter(|&v| gains[v as usize].positive()).map(|v| (Ordered(gains[v as usize]), v)),
+        (0..n).filter(|&v| gains[v as usize].positive()).map(|v| Entry(gains[v as usize], v)),
     );
 }
 
@@ -374,14 +395,14 @@ trait Bound<G: Gain> {
     type K: Gain;
     /// Seeds the selection expects (a capacity hint).
     fn capacity(&self) -> usize;
-    fn key(&self, g: G, v: NodeId) -> Ordered<Self::K>;
+    fn key(&self, g: G, v: NodeId) -> Self::K;
     /// Fills the heap buffer from the initial gains (or a frozen seed).
     fn seed(
         &self,
         gains: &[G],
         n: u32,
-        frozen: Option<&[(Ordered<G>, NodeId)]>,
-        heap: &mut Vec<(Ordered<Self::K>, NodeId)>,
+        frozen: Option<&[Entry<G>]>,
+        heap: &mut Vec<Entry<Self::K>>,
     );
     /// Whether another seed may be added after `picked` seeds.
     fn open(&self, picked: usize) -> bool;
@@ -407,17 +428,11 @@ impl<G: Gain> Bound<G> for TopK {
     }
 
     #[inline]
-    fn key(&self, g: G, _: NodeId) -> Ordered<G> {
-        Ordered(g)
+    fn key(&self, g: G, _: NodeId) -> G {
+        g
     }
 
-    fn seed(
-        &self,
-        gains: &[G],
-        n: u32,
-        frozen: Option<&[(Ordered<G>, NodeId)]>,
-        heap: &mut Vec<(Ordered<G>, NodeId)>,
-    ) {
+    fn seed(&self, gains: &[G], n: u32, frozen: Option<&[Entry<G>]>, heap: &mut Vec<Entry<G>>) {
         match frozen {
             Some(seed) => heap.extend_from_slice(seed),
             None => heap_seed(gains, n, heap),
@@ -462,22 +477,16 @@ impl<G: Gain> Bound<G> for Budget<'_> {
     }
 
     #[inline]
-    fn key(&self, g: G, v: NodeId) -> Ordered<f64> {
-        Ordered(g.to_f64() / self.costs.cost(v))
+    fn key(&self, g: G, v: NodeId) -> f64 {
+        g.to_f64() / self.costs.cost(v)
     }
 
-    fn seed(
-        &self,
-        gains: &[G],
-        n: u32,
-        _: Option<&[(Ordered<G>, NodeId)]>,
-        heap: &mut Vec<(Ordered<f64>, NodeId)>,
-    ) {
+    fn seed(&self, gains: &[G], n: u32, _: Option<&[Entry<G>]>, heap: &mut Vec<Entry<f64>>) {
         // A frozen seed holds gains, not ratios: rebuild from the table.
         heap.extend(
             (0..n)
                 .filter(|&v| gains[v as usize].positive())
-                .map(|v| (Bound::<G>::key(self, gains[v as usize], v), v)),
+                .map(|v| Entry(Bound::<G>::key(self, gains[v as usize], v), v)),
         );
     }
 
@@ -692,7 +701,7 @@ impl CoverageView<'_> {
         }
 
         while limit.open(seeds.len()) {
-            let Some((key, v)) = heap.pop() else { break };
+            let Some(Entry(key, v)) = heap.pop() else { break };
             if scratch.selected_stamp[v as usize] == generation {
                 continue;
             }
@@ -701,7 +710,7 @@ impl CoverageView<'_> {
             if key > current_key {
                 // Stale entry: re-key with the exact value.
                 if current.positive() {
-                    heap.push((current_key, v));
+                    heap.push(Entry(current_key, v));
                 }
                 continue;
             }

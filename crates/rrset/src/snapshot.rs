@@ -55,9 +55,7 @@
 
 use std::ops::Range;
 
-use sns_graph::NodeId;
-
-use crate::greedy::{heap_seed, CountGains, Gain, Gains, Ordered, WeightedGains};
+use crate::greedy::{heap_seed, CountGains, Entry, Gain, Gains, WeightedGains};
 use crate::index::CsrOffsets;
 use crate::{CoverageView, RrCollection};
 
@@ -86,7 +84,7 @@ pub struct GainSnapshot<G = u32> {
     gains: Vec<G>,
     /// `(gain, v)` for every node with positive gain, ascending `v` — the
     /// exact buffer a top-k selection heapifies.
-    heap_seed: Vec<(Ordered<G>, NodeId)>,
+    heap_seed: Vec<Entry<G>>,
     /// The slice's rebased forward-CSR offsets, exactly as
     /// [`CoverageView::build`] computes them.
     offsets: CsrOffsets,
@@ -198,15 +196,15 @@ impl<G> GainSnapshot<G> {
     }
 
     /// The frozen nonzero heap seed.
-    pub(crate) fn heap_seed(&self) -> &[(Ordered<G>, NodeId)] {
+    pub(crate) fn heap_seed(&self) -> &[Entry<G>] {
         &self.heap_seed
     }
 
     /// Bytes owned by the frozen arrays (counting capacities).
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.gains.capacity() * size_of::<G>()
-            + self.heap_seed.capacity() * size_of::<(Ordered<G>, NodeId)>()) as u64
+        (self.gains.capacity() * size_of::<G>() + self.heap_seed.capacity() * size_of::<Entry<G>>())
+            as u64
             + self.offsets.memory_bytes()
     }
 }
@@ -219,6 +217,7 @@ mod tests {
         SelectionResult, Start,
     };
     use sns_diffusion::RrMeta;
+    use sns_graph::NodeId;
 
     fn weighted(w: &[f64], k: usize) -> Selection<'_> {
         Selection { objective: Objective::Weighted(w), ..Selection::top_k(k) }
