@@ -214,7 +214,8 @@ pub(crate) trait Gain: Copy + PartialOrd + Default + AddAssign + SubAssign {
     /// `a <= b` in the heap's total order.
     fn entry_le(a: Entry<Self>, b: Entry<Self>) -> bool;
     fn widen(self) -> Self::Sum;
-    fn to_f64(self) -> f64;
+    /// Exact for counts, so with unit costs the ratio heap is
+    /// order-isomorphic to the plain `(gain, id)` heap.
     fn sum_f64(sum: Self::Sum) -> f64;
     /// The scratch's recycled gain table and heap buffer of this type.
     fn table(scratch: &mut GreedyScratch) -> &mut Vec<Self>;
@@ -238,11 +239,6 @@ impl Gain for u32 {
         u64::from(self)
     }
     #[inline]
-    fn to_f64(self) -> f64 {
-        // Exact, so with unit costs the ratio heap is order-isomorphic to
-        // the plain `(gain, id)` heap.
-        f64::from(self)
-    }
     fn sum_f64(sum: u64) -> f64 {
         sum as f64
     }
@@ -265,9 +261,6 @@ impl Gain for f64 {
         self
     }
     #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
     fn sum_f64(sum: f64) -> f64 {
         sum
     }
@@ -478,7 +471,7 @@ impl<G: Gain> Bound<G> for Budget<'_> {
 
     #[inline]
     fn key(&self, g: G, v: NodeId) -> f64 {
-        g.to_f64() / self.costs.cost(v)
+        G::sum_f64(g.widen()) / self.costs.cost(v)
     }
 
     fn seed(&self, gains: &[G], n: u32, _: Option<&[Entry<G>]>, heap: &mut Vec<Entry<f64>>) {
