@@ -342,7 +342,7 @@ fn main() {
         // bench bakes) and diffed by bench_diff as a floor, not an
         // exact value.
         let mut counters = sns_bench::sample_counts::counters();
-        counters.push(("store_load_vs_resample_speedup", speedup));
+        counters.push(("store_load_vs_resample_speedup".to_string(), speedup));
         support::write_bench_json_full(&c, "BENCH_query_engine.json", &counters, Some(&serving));
     }
 }

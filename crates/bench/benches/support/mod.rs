@@ -64,10 +64,10 @@ pub struct ServingSummary {
 /// [`write_bench_json`] with an extra `"counters"` object of named
 /// deterministic integers (e.g. algorithm sample counts) appended after
 /// the timing entries. Unlike the nanosecond fields, counters are
-/// machine-independent, so `bench_diff` (the warn-only CI check) can
+/// machine-independent, so `bench_diff` (a hard CI gate) can
 /// compare them exactly against the checked-in baselines under
 /// `results/bench_baselines/`.
-pub fn write_bench_json_with_counters(c: &Criterion, file_name: &str, counters: &[(&str, u64)]) {
+pub fn write_bench_json_with_counters(c: &Criterion, file_name: &str, counters: &[(String, u64)]) {
     write_bench_json_full(c, file_name, counters, None);
 }
 
@@ -79,7 +79,7 @@ pub fn write_bench_json_with_counters(c: &Criterion, file_name: &str, counters: 
 pub fn write_bench_json_full(
     c: &Criterion,
     file_name: &str,
-    counters: &[(&str, u64)],
+    counters: &[(String, u64)],
     serving: Option<&ServingSummary>,
 ) {
     let manifest = env!("CARGO_MANIFEST_DIR");

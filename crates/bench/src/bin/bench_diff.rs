@@ -23,8 +23,8 @@
 //! Any mismatch prints a GitHub-annotation warning and lands in the
 //! workflow's step summary as an expected-vs-realized table
 //! (`$GITHUB_STEP_SUMMARY`). Drift in a deterministic counter — a
-//! changed value, or a baselined counter no longer computed — makes
-//! the process **exit nonzero**, and CI
+//! changed value, a baselined counter no longer computed, or a computed
+//! counter with no baseline — makes the process **exit nonzero**, and CI
 //! fails on it: the counters are byte-reproducible, so a drift is a
 //! behaviour change. An intended change is re-baselined with
 //! `bench_diff --write` and explained in the change's notes. This is
@@ -130,7 +130,8 @@ impl Row {
 
 /// Diffs `got` against `baseline`, printing annotations and
 /// accumulating report rows. Returns the number of deterministic
-/// counter mismatches (a missed `*_speedup` floor only warns).
+/// counter mismatches, a counter without a baseline included (a missed
+/// `*_speedup` floor only warns).
 fn diff(
     source: &str,
     got: &BTreeMap<String, u64>,
@@ -147,10 +148,13 @@ fn diff(
             realized: Some(value),
         });
         match expected {
-            None => println!(
-                "::warning::{source}: counter {name} = {value} has no baseline — \
-                 rebaseline with `bench_diff --write`"
-            ),
+            None => {
+                mismatches += 1;
+                println!(
+                    "::warning::{source}: counter {name} = {value} has no baseline — \
+                     record it with `bench_diff --write`"
+                );
+            }
             Some(floor) if is_floor(name) => {
                 if value >= floor {
                     println!("{source}: {name} = {value} meets its floor of {floor}");
@@ -184,13 +188,14 @@ fn write_step_summary(rows: &[Row], mismatches: usize) {
     let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
     let mut md = String::from("## bench_diff — deterministic sample counters\n\n");
     let unbaselined = rows.iter().filter(|r| r.expected.is_none()).count();
-    if mismatches == 0 && unbaselined == 0 {
+    if mismatches == 0 {
         let _ = writeln!(md, "All {} counters match their baselines.\n", rows.len());
     } else {
-        if mismatches > 0 {
+        let changed = mismatches - unbaselined;
+        if changed > 0 {
             let _ = writeln!(
                 md,
-                "**{mismatches} counter mismatch(es)** — sample-count behavior changed; \
+                "**{changed} counter mismatch(es)** — sample-count behavior changed; \
                  if intended, rebaseline with `bench_diff --write`.\n"
             );
         }
@@ -235,7 +240,7 @@ fn main() {
     let fresh = sns_bench::sample_counts::counters();
 
     if std::env::args().any(|a| a == "--write") {
-        let mut all: Vec<(String, u64)> = fresh.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        let mut all = fresh;
         // Floors are hand-set policy, not measurements: carry them over
         // verbatim from the previous baseline.
         if let Ok(old) = std::fs::read_to_string(&baseline_path) {
@@ -254,7 +259,7 @@ fn main() {
         std::process::exit(1);
     };
     let baseline = parse_counters(&baseline_json);
-    let fresh_map: BTreeMap<String, u64> = fresh.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+    let fresh_map: BTreeMap<String, u64> = fresh.into_iter().collect();
     let mut rows = Vec::new();
     let mut mismatches = diff("recomputed", &fresh_map, &baseline, &mut rows);
     // Orphaned baseline entries matter too: a renamed or deleted counter

@@ -11,7 +11,7 @@
 //! fixtures — under both stopping rules since PR 5, so a drift in either
 //! the historical `Conservative` anchor or the erratum-anchored
 //! `DssaFix` one is caught — plus the cache hit/miss/evict counters of a fixed
-//! grow-while-serving query script ([`serving_counters`] — the same bug
+//! grow-while-serving query script (`serving_counters` — the same bug
 //! class in serving clothes: a cache that silently stops hitting stays
 //! exactly as *correct* and exactly as slow as no cache). The
 //! `bench_diff` binary compares them in CI (a hard gate), and the
@@ -25,12 +25,14 @@ use sns_diffusion::Model;
 use sns_graph::{gen, WeightModel};
 use sns_tvm::TargetWeights;
 
+use crate::traffic::{simulate, TrafficConfig};
+
 /// Cache counters of a fixed grow-while-serving script: sample 2000
 /// sets, then three rounds of (repeated full-pool queries + a ranged
 /// query + two same-topic weighted queries + a 1000-set extension).
 /// Deterministic: seeded streams, sequential answering, no
 /// criterion-iteration influence.
-pub fn serving_counters() -> Vec<(&'static str, u64)> {
+fn serving_counters() -> Vec<(&'static str, u64)> {
     let g = gen::erdos_renyi(500, 3000, 11).build(WeightModel::WeightedCascade).unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(11);
     let engine = SeedQueryEngine::sample(&ctx, 2000);
@@ -71,7 +73,7 @@ pub fn serving_counters() -> Vec<(&'static str, u64)> {
 /// is involved, only the recovery *outcome*; a regression that makes
 /// recovery keep fewer (or claim more) epochs than the damage warrants
 /// shows up as an exact counter drift.
-pub fn store_counters() -> Vec<(&'static str, u64)> {
+fn store_counters() -> Vec<(&'static str, u64)> {
     let g = gen::erdos_renyi(300, 1800, 13).build(WeightModel::WeightedCascade).unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(13);
     let engine = SeedQueryEngine::sample(&ctx, 250);
@@ -101,60 +103,28 @@ pub fn store_counters() -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// Serving-front-end counters of the fixed CI traffic scenario
-/// ([`crate::traffic::TrafficConfig::ci`]): arrivals, serves, typed
-/// rejects, expiries, planner groups, snapshot resolutions saved and
-/// virtual-clock sojourn percentiles. Deterministic by construction —
-/// admission and planning run on the virtual cost clock before any
-/// parallel execution — so `bench_diff` can track them exactly while
-/// wall-clock latency stays report-only.
-pub fn traffic_counters() -> Vec<(&'static str, u64)> {
-    crate::traffic::simulate(&crate::traffic::TrafficConfig::ci()).counters
-}
-
-/// Counters of the budgeted CI traffic scenario
-/// ([`crate::traffic::TrafficConfig::ci_budgeted`]) — the plain scenario
-/// with a budgeted (cost-aware) query mix — renamed `traffic_budgeted_*`
-/// so both scenarios' counters coexist in one baseline file.
-pub fn traffic_budgeted_counters() -> Vec<(&'static str, u64)> {
-    crate::traffic::simulate(&crate::traffic::TrafficConfig::ci_budgeted())
-        .counters
-        .iter()
-        .map(|&(name, v)| (budgeted_counter_name(name), v))
-        .collect()
-}
-
-/// Stable rename of the simulator's counter names for the budgeted
-/// scenario. Names must be `&'static str`, so the mapping is a literal
-/// match rather than a formatted prefix.
-fn budgeted_counter_name(name: &'static str) -> &'static str {
-    match name {
-        "traffic_sim_arrivals" => "traffic_budgeted_arrivals",
-        "traffic_sim_served" => "traffic_budgeted_served",
-        "traffic_sim_rejected_queue_full" => "traffic_budgeted_rejected_queue_full",
-        "traffic_sim_rejected_deadline" => "traffic_budgeted_rejected_deadline",
-        "traffic_sim_expired" => "traffic_budgeted_expired",
-        "traffic_sim_left_queued" => "traffic_budgeted_left_queued",
-        "traffic_sim_planner_groups" => "traffic_budgeted_planner_groups",
-        "traffic_sim_builds_saved" => "traffic_budgeted_builds_saved",
-        "traffic_sim_growths" => "traffic_budgeted_growths",
-        "traffic_sim_sojourn_p50" => "traffic_budgeted_sojourn_p50",
-        "traffic_sim_sojourn_p99" => "traffic_budgeted_sojourn_p99",
-        "traffic_sim_budgeted_arrivals" => "traffic_budgeted_mix_size",
-        other => other,
-    }
-}
-
-/// Counters of the concurrent sample-while-serving scenario
-/// ([`crate::traffic::TrafficConfig::ci_concurrent`], run through
-/// [`crate::traffic::simulate_concurrent`]): the pool grows on a real
-/// second thread while the serving loop keeps draining. Byte-reproducible
-/// despite the wall-clock race because the serving side advances its
-/// known pool length only at growth-acknowledgment sync points and every
-/// query carries an explicit range — see `simulate_concurrent`'s docs.
-/// The names are `traffic_concurrent_*` natively; no rename map needed.
-pub fn traffic_concurrent_counters() -> Vec<(&'static str, u64)> {
-    crate::traffic::simulate_concurrent(&crate::traffic::TrafficConfig::ci_concurrent()).counters
+/// Serving-front-end counters of the three CI traffic scenarios
+/// ([`TrafficConfig::ci`], [`TrafficConfig::ci_budgeted`] and
+/// [`TrafficConfig::ci_concurrent`]), named `traffic_sim_*`,
+/// `traffic_budgeted_*` and `traffic_concurrent_*`: arrivals, serves,
+/// typed rejects, expiries, planner groups, snapshot resolutions saved,
+/// growth acknowledgements and virtual-clock sojourn percentiles.
+/// Deterministic by construction — admission and planning run on the
+/// virtual cost clock before any parallel execution, and the serving
+/// side learns the pool length only from growth acknowledgements — so
+/// `bench_diff` can track them exactly while wall-clock latency stays
+/// report-only.
+fn traffic_counters() -> Vec<(String, u64)> {
+    [
+        ("traffic_sim_", TrafficConfig::ci()),
+        ("traffic_budgeted_", TrafficConfig::ci_budgeted()),
+        ("traffic_concurrent_", TrafficConfig::ci_concurrent()),
+    ]
+    .into_iter()
+    .flat_map(|(prefix, cfg)| {
+        simulate(&cfg).counters.into_iter().map(move |(name, v)| (format!("{prefix}{name}"), v))
+    })
+    .collect()
 }
 
 /// Realized budgeted-greedy / exact-IP coverage ratios, in permille, on
@@ -162,7 +132,7 @@ pub fn traffic_concurrent_counters() -> Vec<(&'static str, u64)> {
 /// counters: both sides are pure functions of the fixtures, so a greedy
 /// regression that stays above the `1 − 1/√e` floor (≈ 393‰, asserted
 /// by `tests/budgeted_oracle.rs`) still shows up as an exact drift here.
-pub fn oracle_gap_counters() -> Vec<(&'static str, u64)> {
+fn oracle_gap_counters() -> Vec<(&'static str, u64)> {
     crate::oracle::realized_gaps_permille()
         .iter()
         .map(|&(name, permille)| (oracle_counter_name(name), permille))
@@ -184,8 +154,9 @@ fn oracle_counter_name(name: &'static str) -> &'static str {
 
 /// The tracked `(name, value)` counters, recomputed from scratch
 /// (seconds of work; all streams seeded). Names are stable — `bench_diff`
-/// treats a missing baseline entry as "new counter, record it".
-pub fn counters() -> Vec<(&'static str, u64)> {
+/// fails on a counter without a baseline entry until it is recorded
+/// with `--write`.
+pub fn counters() -> Vec<(String, u64)> {
     // Fixture A: the D2-bound instance of the Λ regression test —
     // ER(400, 2400), IC, k = 80, ε = 0.1, δ = 0.1. Pre-fix: 19184.
     let er = gen::erdos_renyi(400, 2400, 3).build(WeightModel::WeightedCascade).unwrap();
@@ -212,7 +183,7 @@ pub fn counters() -> Vec<(&'static str, u64)> {
     let dssa_rmat_fix =
         Dssa::new(params_b.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx_b).unwrap();
 
-    let mut out = vec![
+    let algorithms = vec![
         ("dssa_er_ic_k80_rr_sets_total", dssa_er.rr_sets_total()),
         ("dssa_er_ic_k80_rr_sets_total_dssafix", dssa_er_fix.rr_sets_total()),
         ("ssa_er_ic_k80_rr_sets_total", ssa_er.rr_sets_total()),
@@ -220,12 +191,11 @@ pub fn counters() -> Vec<(&'static str, u64)> {
         ("dssa_rmat_lt_k10_rr_sets_total_dssafix", dssa_rmat_fix.rr_sets_total()),
         ("ssa_rmat_lt_k10_rr_sets_total", ssa_rmat.rr_sets_total()),
     ];
-    out.extend(serving_counters());
-    out.extend(store_counters());
+    let named = |list: Vec<(&'static str, u64)>| list.into_iter().map(|(n, v)| (n.to_string(), v));
+    let mut out: Vec<(String, u64)> =
+        named(algorithms).chain(named(serving_counters())).chain(named(store_counters())).collect();
     out.extend(traffic_counters());
-    out.extend(traffic_budgeted_counters());
-    out.extend(traffic_concurrent_counters());
-    out.extend(oracle_gap_counters());
+    out.extend(named(oracle_gap_counters()));
     out
 }
 
@@ -245,8 +215,8 @@ mod tests {
         assert!(a.iter().any(|(name, v)| name.starts_with("traffic_sim") && *v > 0));
         assert!(a.iter().any(|(name, v)| name.starts_with("traffic_concurrent") && *v > 0));
         // one bit flipped in the last of 4 epochs: 3 kept, 1 lost
-        assert!(a.contains(&("store_recovered_epochs", 3)));
-        assert!(a.contains(&("store_lost_epochs", 1)));
+        assert!(a.contains(&("store_recovered_epochs".to_string(), 3)));
+        assert!(a.contains(&("store_lost_epochs".to_string(), 1)));
         // timing-derived floor counters (`*_speedup`) are bench-side
         // only — they must never enter the deterministic set
         assert!(a.iter().all(|(name, _)| !name.ends_with("_speedup")));

@@ -4,7 +4,33 @@
 //! counters are pure functions of the [`TrafficConfig`], never of the
 //! wall clock or the scheduler.
 
-use sns_bench::traffic::{simulate, TrafficConfig};
+use sns_bench::traffic::{simulate, TrafficConfig, TrafficReport};
+
+/// The value of counter `name` (unprefixed, as the simulator names it).
+fn get(report: &TrafficReport, name: &str) -> u64 {
+    report
+        .counters
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("missing counter {name}: {:?}", report.counters))
+        .1
+}
+
+/// Conservation: every arrival is served, rejected, expired or still
+/// queued at the end — nothing is lost or double-counted.
+fn assert_conserved(report: &TrafficReport) {
+    let get = |name| get(report, name);
+    assert_eq!(
+        get("arrivals"),
+        get("served")
+            + get("rejected_queue_full")
+            + get("rejected_deadline")
+            + get("expired")
+            + get("left_queued"),
+        "{:?}",
+        report.counters
+    );
+}
 
 #[test]
 fn ci_scenario_counters_are_reproducible_across_runs() {
@@ -13,34 +39,16 @@ fn ci_scenario_counters_are_reproducible_across_runs() {
     let b = simulate(&cfg);
     assert_eq!(a.counters, b.counters, "same config must replay byte-identically");
 
-    let get = |name: &str| {
-        a.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-            .1
-    };
     // The CI scenario must actually exercise the front end: queries are
     // served, bursts overflow the queue, deadlines reject, the planner
     // shares snapshot resolutions and the pool grows mid-serving.
-    assert!(get("traffic_sim_served") > 0);
-    assert!(get("traffic_sim_rejected_queue_full") > 0, "{:?}", a.counters);
-    assert!(get("traffic_sim_rejected_deadline") > 0, "{:?}", a.counters);
-    assert!(get("traffic_sim_builds_saved") > 0, "{:?}", a.counters);
-    assert!(get("traffic_sim_planner_groups") > 0);
-    assert_eq!(get("traffic_sim_growths"), 2);
-    // Conservation: every arrival is served, rejected, expired or still
-    // queued at the end — nothing is lost or double-counted.
-    assert_eq!(
-        get("traffic_sim_arrivals"),
-        get("traffic_sim_served")
-            + get("traffic_sim_rejected_queue_full")
-            + get("traffic_sim_rejected_deadline")
-            + get("traffic_sim_expired")
-            + get("traffic_sim_left_queued"),
-        "{:?}",
-        a.counters
-    );
+    assert!(get(&a, "served") > 0);
+    assert!(get(&a, "rejected_queue_full") > 0, "{:?}", a.counters);
+    assert!(get(&a, "rejected_deadline") > 0, "{:?}", a.counters);
+    assert!(get(&a, "builds_saved") > 0, "{:?}", a.counters);
+    assert!(get(&a, "planner_groups") > 0);
+    assert_eq!(get(&a, "growths"), 2);
+    assert_conserved(&a);
 }
 
 #[test]
@@ -59,29 +67,12 @@ fn budgeted_scenario_counters_are_reproducible_and_thread_invariant() {
     let four = simulate(&TrafficConfig { threads: 4, ..TrafficConfig::ci_budgeted() });
     assert_eq!(a.counters, four.counters, "budgeted counters must not depend on threads");
 
-    let get = |name: &str| {
-        a.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-            .1
-    };
     // The budgeted mix must actually flow: cost-aware queries arrive,
     // get admitted against the budget-derived cost model and get served.
-    assert!(get("traffic_sim_budgeted_arrivals") > 0, "{:?}", a.counters);
-    assert!(get("traffic_sim_served") > 0);
-    assert_eq!(get("traffic_sim_growths"), 2);
-    // Conservation holds in the budgeted mix too.
-    assert_eq!(
-        get("traffic_sim_arrivals"),
-        get("traffic_sim_served")
-            + get("traffic_sim_rejected_queue_full")
-            + get("traffic_sim_rejected_deadline")
-            + get("traffic_sim_expired")
-            + get("traffic_sim_left_queued"),
-        "{:?}",
-        a.counters
-    );
+    assert!(get(&a, "mix_size") > 0, "{:?}", a.counters);
+    assert!(get(&a, "served") > 0);
+    assert_eq!(get(&a, "growths"), 2);
+    assert_conserved(&a);
 }
 
 #[test]
@@ -91,11 +82,14 @@ fn budgeted_share_does_not_disturb_the_legacy_scenario() {
     // baselines — must be exactly what they were before the mix existed.
     let legacy = simulate(&TrafficConfig::ci());
     assert_eq!(legacy.counters.len(), 11, "{:?}", legacy.counters);
-    assert!(legacy.counters.iter().all(|(n, _)| *n != "traffic_sim_budgeted_arrivals"));
+    assert!(legacy.counters.iter().all(|(n, _)| *n != "mix_size"));
 }
 
 #[test]
 fn planned_budgeted_answers_match_unplanned_under_traffic() {
+    // verify: true cross-checks every served answer against a direct
+    // selection on a one-shot pool of the final size inside simulate();
+    // a divergence panics there.
     let cfg = TrafficConfig { steps: 12, verify: true, ..TrafficConfig::ci_budgeted() };
     let report = simulate(&cfg);
     assert!(report.served > 0);
@@ -103,8 +97,6 @@ fn planned_budgeted_answers_match_unplanned_under_traffic() {
 
 #[test]
 fn planned_answers_match_unplanned_under_traffic() {
-    // verify: true cross-checks every planned answer against a direct
-    // selection on its pool inside simulate(); a divergence panics there.
     let cfg = TrafficConfig { steps: 12, verify: true, ..TrafficConfig::ci() };
     let report = simulate(&cfg);
     assert!(report.served > 0);
@@ -112,7 +104,6 @@ fn planned_answers_match_unplanned_under_traffic() {
 
 #[test]
 fn concurrent_scenario_counters_are_reproducible_and_thread_invariant() {
-    use sns_bench::traffic::simulate_concurrent;
     // The hard concurrency gate: growth races serving on a real second
     // thread, and the counters must still replay byte-identically —
     // across runs AND across engine thread counts (the CI `concurrency`
@@ -122,52 +113,34 @@ fn concurrent_scenario_counters_are_reproducible_and_thread_invariant() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(2);
     let cfg = TrafficConfig { threads, ..TrafficConfig::ci_concurrent() };
-    let a = simulate_concurrent(&cfg);
-    let b = simulate_concurrent(&cfg);
+    let a = simulate(&cfg);
+    let b = simulate(&cfg);
     assert_eq!(a.counters, b.counters, "concurrent scenario must replay byte-identically");
-    let other = simulate_concurrent(&TrafficConfig {
+    let other = simulate(&TrafficConfig {
         threads: if threads == 1 { 4 } else { 1 },
         ..TrafficConfig::ci_concurrent()
     });
     assert_eq!(a.counters, other.counters, "gated counters must not depend on threads");
 
-    let get = |name: &str| {
-        a.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-            .1
-    };
     // The scenario must actually overlap growth with serving: four
     // growth commands are issued (steps 6, 12, 18, 24), all acknowledged
     // by drain-out, each publishing one directory generation.
-    assert_eq!(get("traffic_concurrent_growth_acks"), 4, "{:?}", a.counters);
-    assert_eq!(get("traffic_concurrent_final_generation"), 4, "{:?}", a.counters);
-    assert_eq!(get("traffic_concurrent_final_pool_len"), 1600 + 4 * 600, "{:?}", a.counters);
-    assert!(get("traffic_concurrent_served") > 0);
-    assert!(get("traffic_concurrent_planner_groups") > 0);
-    assert!(get("traffic_concurrent_builds_saved") > 0, "{:?}", a.counters);
-    // Conservation holds under concurrent growth too.
-    assert_eq!(
-        get("traffic_concurrent_arrivals"),
-        get("traffic_concurrent_served")
-            + get("traffic_concurrent_rejected_queue_full")
-            + get("traffic_concurrent_rejected_deadline")
-            + get("traffic_concurrent_expired")
-            + get("traffic_concurrent_left_queued"),
-        "{:?}",
-        a.counters
-    );
+    assert_eq!(get(&a, "growth_acks"), 4, "{:?}", a.counters);
+    assert_eq!(get(&a, "final_generation"), 4, "{:?}", a.counters);
+    assert_eq!(get(&a, "final_pool_len"), 1600 + 4 * 600, "{:?}", a.counters);
+    assert!(get(&a, "served") > 0);
+    assert!(get(&a, "planner_groups") > 0);
+    assert!(get(&a, "builds_saved") > 0, "{:?}", a.counters);
+    assert_conserved(&a);
 }
 
 #[test]
 fn concurrently_served_answers_match_the_one_shot_reference() {
-    use sns_bench::traffic::simulate_concurrent;
     // verify: true re-checks every (query, answer) pair served while
     // growth raced the serving loop against a direct selection on the
-    // final pool sampled up front — the linearizability acceptance for the
-    // traffic path. A divergence panics inside simulate_concurrent.
+    // final pool sampled up front — the linearizability acceptance for
+    // the traffic path. A divergence panics inside simulate().
     let cfg = TrafficConfig { steps: 14, verify: true, ..TrafficConfig::ci_concurrent() };
-    let report = simulate_concurrent(&cfg);
+    let report = simulate(&cfg);
     assert!(report.served > 0);
 }

@@ -103,8 +103,8 @@ pub enum StopCondition {
     /// run before the statistical conditions fired.
     Cap,
     /// No stopping rule was consulted: the algorithm runs a fixed,
-    /// precomputed sample schedule (IMM, TIM/TIM+, fixed-pool RIS) or a
-    /// non-RIS procedure.
+    /// precomputed sample schedule (IMM, TIM/TIM+) or a non-RIS
+    /// procedure.
     Schedule,
 }
 

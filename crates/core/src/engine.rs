@@ -179,8 +179,8 @@ impl SeedQuery {
     /// budget is set; with [`NodeCosts::Uniform`] and `budget = k` the
     /// answer is bit-identical to the plain top-`k` path. Incompatible
     /// with `root_weights`/`topic` — per-node *benefits* fold into
-    /// sampling instead (`RootDist::benefit_weighted`), keeping the
-    /// selection objective a plain coverage count.
+    /// sampling instead ([`SamplingContext::with_weighted_roots`]),
+    /// keeping the selection objective a plain coverage count.
     pub fn with_budget(mut self, budget: f64) -> Self {
         self.budget = Some(budget);
         self
@@ -374,10 +374,9 @@ impl SeedQueryEngine {
         let roots = match ctx.roots() {
             RootDist::Uniform => "uniform",
             RootDist::Weighted(_) => "weighted",
-            RootDist::Benefit(_) => "benefit",
         };
         let mut meta = vec![("roots".to_string(), roots.to_string())];
-        // Content checksum of the weight/benefit vector: Γ alone cannot
+        // Content checksum of the weight vector: Γ alone cannot
         // distinguish two vectors with equal mass, so a persisted
         // weighted pool must refuse to reload under a permuted vector
         // loudly instead of silently mis-serving.
@@ -728,11 +727,10 @@ impl SeedQueryEngine {
                 return err(format!("budget {budget} is not finite and positive"));
             }
             if query.root_weights.is_some() {
-                return err(
-                    "budgeted queries run on uniform-root pools; per-node benefits fold into \
-                     sampling (RootDist::benefit_weighted), not into the selection objective"
-                        .into(),
-                );
+                return err("budgeted queries take no root weights; per-node benefits fold into \
+                     sampling (SamplingContext::with_weighted_roots), not into the selection \
+                     objective"
+                    .into());
             }
             if let NodeCosts::PerNode(c) = &query.costs {
                 if c.len() != n as usize {
@@ -1399,7 +1397,7 @@ mod tests {
         permuted.reverse();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade)
             .with_seed(42)
-            .with_benefit_weighted_roots(&benefits)
+            .with_weighted_roots(&benefits)
             .unwrap();
         let e = SeedQueryEngine::sample(&ctx, 300);
         let dir = temp_dir("permuted-benefits");
@@ -1409,7 +1407,7 @@ mod tests {
         // the two vectors apart
         let wrong = SamplingContext::new(&g, Model::IndependentCascade)
             .with_seed(42)
-            .with_benefit_weighted_roots(&permuted)
+            .with_weighted_roots(&permuted)
             .unwrap();
         assert_eq!(ctx.gamma().to_bits(), wrong.gamma().to_bits());
         let err = SeedQueryEngine::from_store(&dir, &wrong).unwrap_err();

@@ -74,6 +74,8 @@ impl EstimateScratch {
 /// sample indices `0..samples_used` from `sampler`'s stream.
 ///
 /// `gamma` is the universe mass (`n` for IM, `Σ b(v)` for TVM).
+/// `scratch` supplies the seed-membership table; callers that verify
+/// round after round (SSA) hold one scratch for the whole run.
 pub fn estimate_inf(
     sampler: &mut RrSampler<'_>,
     seeds: &[NodeId],
@@ -81,36 +83,6 @@ pub fn estimate_inf(
     delta_prime: f64,
     t_max: u64,
     gamma: f64,
-) -> EstimateInfOutcome {
-    estimate_inf_with_sink(
-        sampler,
-        seeds,
-        eps_prime,
-        delta_prime,
-        t_max,
-        gamma,
-        None,
-        &mut EstimateScratch::new(),
-    )
-}
-
-/// [`estimate_inf`] that optionally appends every generated RR set to a
-/// pool — the sample-recycling strategy the paper's §5.2 flags as future
-/// work ("the samples in R′ … are only used once and then discarded").
-/// Recycling voids the independence assumption of Lemma 5, so it is an
-/// explicitly heuristic mode; see [`crate::Ssa::with_verification_recycling`].
-///
-/// `scratch` supplies the seed-membership table; callers that verify
-/// round after round (SSA) hold one scratch for the whole run.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's parameter list
-pub fn estimate_inf_with_sink(
-    sampler: &mut RrSampler<'_>,
-    seeds: &[NodeId],
-    eps_prime: f64,
-    delta_prime: f64,
-    t_max: u64,
-    gamma: f64,
-    mut sink: Option<&mut sns_rrset::RrCollection>,
     scratch: &mut EstimateScratch,
 ) -> EstimateInfOutcome {
     let lambda2 = 1.0 + (1.0 + eps_prime) * upsilon(eps_prime, delta_prime);
@@ -130,9 +102,6 @@ pub fn estimate_inf_with_sink(
     for t in 1..=t_max {
         let meta = sampler.sample(t - 1, &mut rr);
         edges += meta.edges_examined;
-        if let Some(pool) = sink.as_deref_mut() {
-            pool.push(&rr, meta);
-        }
         if rr.iter().any(|&v| is_seed[v as usize] == generation) {
             covered += 1;
             if covered >= needed {
@@ -169,7 +138,8 @@ mod tests {
     fn estimates_singleton_influence() {
         let g = isolated(10);
         let mut s = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
-        let out = estimate_inf(&mut s, &[4], 0.1, 0.01, 2_000_000, 10.0);
+        let out =
+            estimate_inf(&mut s, &[4], 0.1, 0.01, 2_000_000, 10.0, &mut EstimateScratch::new());
         let est = out.influence.expect("must converge");
         // one-sided guarantee: rarely above (1+ε)·I; two-sided in practice
         assert!(est <= 1.1 * 1.05, "estimate {est}");
@@ -184,7 +154,8 @@ mod tests {
         let g = isolated(6);
         let mut s = RrSampler::with_config(&g, Model::LinearThreshold, RootDist::Uniform, 1);
         let seeds: Vec<u32> = (0..6).collect();
-        let out = estimate_inf(&mut s, &seeds, 0.2, 0.05, 100_000, 6.0);
+        let out =
+            estimate_inf(&mut s, &seeds, 0.2, 0.05, 100_000, 6.0, &mut EstimateScratch::new());
         let lambda2 = 1.0 + 1.2 * upsilon(0.2, 0.05);
         assert_eq!(out.samples_used, lambda2.ceil() as u64);
         let est = out.influence.unwrap();
@@ -196,7 +167,7 @@ mod tests {
     fn cap_returns_none() {
         let g = isolated(10);
         let mut s = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 7);
-        let out = estimate_inf(&mut s, &[0], 0.1, 0.01, 50, 10.0);
+        let out = estimate_inf(&mut s, &[0], 0.1, 0.01, 50, 10.0, &mut EstimateScratch::new());
         assert!(out.influence.is_none());
         assert_eq!(out.samples_used, 50);
     }
@@ -211,24 +182,16 @@ mod tests {
         // Invocation 1 marks every node as a seed…
         let all: Vec<u32> = (0..8).collect();
         let mut s = RrSampler::with_config(&g, Model::LinearThreshold, RootDist::Uniform, 1);
-        estimate_inf_with_sink(&mut s, &all, 0.2, 0.05, 100_000, 8.0, None, &mut scratch);
+        estimate_inf(&mut s, &all, 0.2, 0.05, 100_000, 8.0, &mut scratch);
         // …later single-seed invocations must not see those marks.
         scratch.generation = u32::MAX; // also cross the wrap boundary
         for seed in [2u64, 5, 9] {
             let mut reused =
                 RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, seed);
             let mut fresh = reused.clone();
-            let got = estimate_inf_with_sink(
-                &mut reused,
-                &[3],
-                0.2,
-                0.05,
-                50_000,
-                8.0,
-                None,
-                &mut scratch,
-            );
-            let want = estimate_inf(&mut fresh, &[3], 0.2, 0.05, 50_000, 8.0);
+            let got = estimate_inf(&mut reused, &[3], 0.2, 0.05, 50_000, 8.0, &mut scratch);
+            let want =
+                estimate_inf(&mut fresh, &[3], 0.2, 0.05, 50_000, 8.0, &mut EstimateScratch::new());
             assert_eq!(got, want, "stream seed {seed}");
         }
     }
@@ -244,7 +207,8 @@ mod tests {
         for seed in 0..runs {
             let mut s =
                 RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, seed);
-            let out = estimate_inf(&mut s, &[3], eps, delta, 1_000_000, 8.0);
+            let out =
+                estimate_inf(&mut s, &[3], eps, delta, 1_000_000, 8.0, &mut EstimateScratch::new());
             if out.influence.unwrap() > (1.0 + eps) * 1.0 + 1e-9 {
                 overshoots += 1;
             }

@@ -72,7 +72,6 @@ mod dssa;
 mod engine;
 mod error;
 mod estimate_inf;
-mod framework;
 mod grower;
 mod params;
 mod result;
@@ -83,8 +82,7 @@ pub use context::SamplingContext;
 pub use dssa::{Dssa, DssaIteration};
 pub use engine::{QueryStats, SeedAnswer, SeedQuery, SeedQueryEngine};
 pub use error::CoreError;
-pub use estimate_inf::{estimate_inf, estimate_inf_with_sink, EstimateInfOutcome, EstimateScratch};
-pub use framework::{ris_fixed_pool, RisThresholds};
+pub use estimate_inf::{estimate_inf, EstimateInfOutcome, EstimateScratch};
 pub use grower::{Grower, GrowthOutcome};
 pub use params::{Params, SsaEpsilons};
 pub use planner::{

@@ -9,7 +9,7 @@ use sns_rrset::{max_coverage_with, GreedyScratch, RrCollection};
 
 use crate::bounds::certificate::{Certificate, StopCondition};
 use crate::bounds::{self, upsilon};
-use crate::estimate_inf::EstimateScratch;
+use crate::estimate_inf::{estimate_inf, EstimateScratch};
 use crate::{CoreError, Params, RunResult, SamplingContext, SsaEpsilons};
 
 /// Algorithm 1's verification cap `Tmax` at pool size `|R_t|`:
@@ -50,34 +50,19 @@ pub(crate) fn t_max_samples(pool_size: u64, e: SsaEpsilons) -> u64 {
 pub struct Ssa {
     params: Params,
     epsilons: SsaEpsilons,
-    recycle_verification: bool,
 }
 
 impl Ssa {
     /// SSA with the paper's recommended ε-split (Eqs. 19–20).
     pub fn new(params: Params) -> Self {
-        Ssa {
-            params,
-            epsilons: SsaEpsilons::recommended(params.epsilon),
-            recycle_verification: false,
-        }
+        Ssa { params, epsilons: SsaEpsilons::recommended(params.epsilon) }
     }
 
     /// SSA with a custom ε-split; the split must satisfy Eq. 18 for the
     /// target ε.
     pub fn with_epsilons(params: Params, epsilons: SsaEpsilons) -> Result<Self, CoreError> {
         epsilons.validate(params.epsilon)?;
-        Ok(Ssa { params, epsilons, recycle_verification: false })
-    }
-
-    /// Enables the §5.2 future-work heuristic: RR sets generated by
-    /// Estimate-Inf are recycled into the find pool instead of being
-    /// discarded, reducing total samples at the cost of the formal
-    /// independence between pool and verification (the guarantee becomes
-    /// heuristic — D-SSA is the principled way to get sample reuse).
-    pub fn with_verification_recycling(mut self, on: bool) -> Self {
-        self.recycle_verification = on;
-        self
+        Ok(Ssa { params, epsilons })
     }
 
     /// The configured parameters.
@@ -136,8 +121,6 @@ impl Ssa {
                 pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
             }
             peak_bytes = peak_bytes.max(pool.memory_bytes());
-            // with verification recycling the pool can exceed the
-            // schedule's target; estimates always use the real size
             let pool_size = pool.len() as u64;
 
             let cover = max_coverage_with(&pool, k, pool.id_range(), &mut cover_scratch);
@@ -149,14 +132,13 @@ impl Ssa {
                 coverage_first_met.get_or_insert(t);
                 let t_max = t_max_samples(pool_size, self.epsilons);
                 let mut verifier = ctx.sampler(u64::from(t));
-                let outcome = crate::estimate_inf::estimate_inf_with_sink(
+                let outcome = estimate_inf(
                     &mut verifier,
                     &cover.seeds,
                     e2,
                     delta_iter,
                     t_max,
                     gamma,
-                    if self.recycle_verification { Some(&mut pool) } else { None },
                     &mut verify_scratch,
                 );
                 verify_samples += outcome.samples_used;
@@ -167,10 +149,8 @@ impl Ssa {
                 }
             }
 
-            // The cap is on *real* samples: with verification recycling
-            // the pool can outgrow the schedule `target`, and comparing
-            // the target would keep looping past Nmax. A schedule the
-            // clamp trimmed counts as capped too.
+            // Capped when the pool reached Nmax or the clamp trimmed the
+            // schedule.
             let hit_cap = target < scheduled || pool.len() as f64 >= n_max;
             let binding = if stop {
                 if coverage_first_met == Some(t) {
@@ -185,9 +165,7 @@ impl Ssa {
                 seeds: cover.seeds,
                 influence_estimate: i_hat,
                 rr_sets_main: pool_size,
-                // recycled verification sets already live in the pool;
-                // counting them again would double-count total samples
-                rr_sets_verify: if self.recycle_verification { 0 } else { verify_samples },
+                rr_sets_verify: verify_samples,
                 iterations: t,
                 hit_cap: hit_cap && !stop,
                 stopping_rule: Some(cert.rule()),
@@ -277,26 +255,6 @@ mod tests {
 
         let bad = SsaEpsilons { e1: 1.0, e2: 0.9, e3: 0.9 };
         assert!(Ssa::with_epsilons(params, bad).is_err());
-    }
-
-    #[test]
-    fn verification_recycling_reduces_total_samples() {
-        let g = gen::rmat(1500, 9000, gen::RmatParams::GRAPH500, 7)
-            .build(WeightModel::WeightedCascade)
-            .unwrap();
-        let params = Params::new(10, 0.25, 0.1).unwrap();
-        let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(3);
-        let plain = Ssa::new(params).run(&ctx).unwrap();
-        let recycled = Ssa::new(params).with_verification_recycling(true).run(&ctx).unwrap();
-        assert_eq!(recycled.rr_sets_verify, 0);
-        assert!(
-            recycled.rr_sets_total() <= plain.rr_sets_total(),
-            "recycling used {} sets vs plain {}",
-            recycled.rr_sets_total(),
-            plain.rr_sets_total()
-        );
-        // quality stays comparable (heuristic mode, but empirically fine)
-        assert_eq!(recycled.seeds.len(), 10);
     }
 
     #[test]

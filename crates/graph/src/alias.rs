@@ -41,8 +41,9 @@ impl AliasTable {
     /// Builds the table from non-negative weights.
     ///
     /// Returns [`GraphError::ZeroTotalWeight`] if the slice is empty or
-    /// sums to zero, and [`GraphError::InvalidWeight`] if any weight is
-    /// negative or non-finite.
+    /// sums to zero, [`GraphError::InvalidWeight`] if any weight is
+    /// negative or non-finite, and [`GraphError::NonFiniteTotalWeight`]
+    /// if the finite weights sum to `+inf`.
     pub fn new(weights: &[f64]) -> Result<Self, GraphError> {
         let n = weights.len();
         let mut total = 0.0f64;
@@ -58,6 +59,9 @@ impl AliasTable {
         }
         if n == 0 || total <= 0.0 {
             return Err(GraphError::ZeroTotalWeight);
+        }
+        if !total.is_finite() {
+            return Err(GraphError::NonFiniteTotalWeight);
         }
 
         let scale = n as f64 / total;
@@ -158,6 +162,12 @@ mod tests {
         assert!(matches!(AliasTable::new(&[0.0, 0.0]), Err(GraphError::ZeroTotalWeight)));
         assert!(matches!(AliasTable::new(&[1.0, -0.5]), Err(GraphError::InvalidWeight { .. })));
         assert!(matches!(AliasTable::new(&[f64::NAN]), Err(GraphError::InvalidWeight { .. })));
+        // finite weights whose sum overflows: Γ = inf would make every
+        // column, zero-weight ones included, equally likely
+        assert!(matches!(
+            AliasTable::new(&[f64::MAX, f64::MAX, 0.0, 0.0]),
+            Err(GraphError::NonFiniteTotalWeight)
+        ));
     }
 
     #[test]

@@ -36,6 +36,17 @@ pub enum GraphError {
     /// A discrete distribution summed to zero (or was empty) where a
     /// positive total was required, e.g. in [`crate::AliasTable::new`].
     ZeroTotalWeight,
+    /// A discrete distribution's total weight overflowed to `+inf`
+    /// although every single weight is finite, e.g. in
+    /// [`crate::AliasTable::new`]: the normalizer `Γ` would be infinite.
+    NonFiniteTotalWeight,
+    /// A per-node vector's length differs from the graph's node count.
+    LengthMismatch {
+        /// The graph's node count.
+        expected: usize,
+        /// The vector's length.
+        got: usize,
+    },
     /// Text edge-list parsing failed.
     Parse {
         /// 1-based line number in the input.
@@ -64,6 +75,12 @@ impl fmt::Display for GraphError {
             }
             GraphError::ZeroTotalWeight => {
                 write!(f, "distribution has zero total weight; nothing to sample")
+            }
+            GraphError::NonFiniteTotalWeight => {
+                write!(f, "distribution's total weight overflows to infinity")
+            }
+            GraphError::LengthMismatch { expected, got } => {
+                write!(f, "per-node vector has {got} entries for {expected} nodes")
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")

@@ -224,15 +224,23 @@ proptest! {
 /// `extend_parallel` must be observably bit-identical to
 /// `extend_sequential` for 1, 2 and 8 worker threads — same sets, same
 /// index responses, same accounting — including when growth happens in
-/// several increments (the SSA/D-SSA doubling schedule).
+/// several increments (the SSA/D-SSA doubling schedule), for uniform
+/// roots and for weighted (WRIS) roots, whose workers share one alias
+/// table.
 #[test]
 fn extend_parallel_bit_identical_across_thread_counts() {
     use sns_diffusion::{Model, RootDist, RrSampler};
     use sns_graph::{gen, WeightModel};
 
     let g = gen::erdos_renyi(250, 2000, 9).build(WeightModel::WeightedCascade).unwrap();
-    for model in [Model::IndependentCascade, Model::LinearThreshold] {
-        let sampler = RrSampler::with_config(&g, model, RootDist::Uniform, 13);
+    // skewed weights with zeros (every 7th node is never a root)
+    let weights: Vec<f64> = (0..250u32).map(|v| f64::from(v % 7)).collect();
+    let weighted = RootDist::weighted(&weights).unwrap();
+    let cases = [Model::IndependentCascade, Model::LinearThreshold]
+        .into_iter()
+        .flat_map(|model| [(model, RootDist::Uniform), (model, weighted.clone())]);
+    for (model, roots) in cases {
+        let sampler = RrSampler::with_config(&g, model, roots, 13);
         let mut seq = RrCollection::new(250);
         let mut s = sampler.clone();
         // grow in doubling increments like the algorithms do
