@@ -132,24 +132,14 @@ fn traffic_counters() -> Vec<(String, u64)> {
 /// counters: both sides are pure functions of the fixtures, so a greedy
 /// regression that stays above the `1 − 1/√e` floor (≈ 393‰, asserted
 /// by `tests/budgeted_oracle.rs`) still shows up as an exact drift here.
-fn oracle_gap_counters() -> Vec<(&'static str, u64)> {
+fn oracle_gap_counters() -> Vec<(String, u64)> {
+    // fixture "cheap-hubs" -> counter "budgeted_oracle_cheap_hubs_permille"
     crate::oracle::realized_gaps_permille()
-        .iter()
-        .map(|&(name, permille)| (oracle_counter_name(name), permille))
+        .into_iter()
+        .map(|(name, permille)| {
+            (format!("budgeted_oracle_{}_permille", name.replace('-', "_")), permille)
+        })
         .collect()
-}
-
-/// Stable counter names for the oracle fixtures (names must be
-/// `&'static str`, so the mapping is a literal match).
-fn oracle_counter_name(name: &'static str) -> &'static str {
-    match name {
-        "uniform-costs" => "budgeted_oracle_uniform_costs_permille",
-        "cheap-hubs" => "budgeted_oracle_cheap_hubs_permille",
-        "expensive-hub" => "budgeted_oracle_expensive_hub_permille",
-        "tight-fractional" => "budgeted_oracle_tight_fractional_permille",
-        "overlap-decoy" => "budgeted_oracle_overlap_decoy_permille",
-        other => other,
-    }
 }
 
 /// The tracked `(name, value)` counters, recomputed from scratch
@@ -195,7 +185,7 @@ pub fn counters() -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> =
         named(algorithms).chain(named(serving_counters())).chain(named(store_counters())).collect();
     out.extend(traffic_counters());
-    out.extend(named(oracle_gap_counters()));
+    out.extend(oracle_gap_counters());
     out
 }
 
